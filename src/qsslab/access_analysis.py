@@ -25,18 +25,19 @@ import numpy as np
 
 from .code5 import QubitSecret, encode_classical
 from .quantum_core import (
+    ENTROPY_EIGENVALUE_FLOOR,
+    NORM_ATOL,
     PSD_ATOL,
+    VERDICT_ATOL,
     DensityMatrix,
     all_nonempty_subsets,
     reduced_state,
+    share_block,
     share_subset,
     trace_distance,
     trace_norm,
     von_neumann_entropy,
 )
-
-#: Deviation allowed when deciding Qualified / Forbidden.
-CLASSIFICATION_ATOL = 1e-9
 
 
 class UnqualifiedSubsetError(ValueError):
@@ -60,9 +61,11 @@ class SecretPrior:
     q1: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.q0) and math.isfinite(self.q1)):
+            raise ValueError(f"probabilities must be finite: {self}")
         if self.q0 < 0 or self.q1 < 0:
             raise ValueError(f"probabilities must be nonnegative: {self}")
-        if abs(self.q0 + self.q1 - 1.0) > 1e-12:
+        if abs(self.q0 + self.q1 - 1.0) > NORM_ATOL:
             raise ValueError(f"probabilities must sum to 1: {self}")
 
     @classmethod
@@ -74,7 +77,7 @@ class SecretPrior:
         """Binary entropy H(q0) in bits."""
         total = 0.0
         for q in (self.q0, self.q1):
-            if q > 1e-12:
+            if q > ENTROPY_EIGENVALUE_FLOOR:
                 total -= q * math.log2(q)
         return total
 
@@ -127,9 +130,9 @@ def classify_subset(
     rho0, rho1 = codeword_reductions(members)
     holevo = holevo_information(members, prior)
     dist = trace_distance(rho0, rho1)
-    if dist >= 1.0 - CLASSIFICATION_ATOL:
+    if dist >= 1.0 - VERDICT_ATOL:
         classification = Classification.QUALIFIED
-    elif holevo <= CLASSIFICATION_ATOL and dist <= CLASSIFICATION_ATOL:
+    elif holevo <= VERDICT_ATOL and dist <= VERDICT_ATOL:
         classification = Classification.FORBIDDEN
     else:
         raise IndeterminateClassificationError(
@@ -207,7 +210,7 @@ def reconstruct_classical(
     rho0, rho1 = codeword_reductions(members)
     if state.dim != rho0.dim:
         raise ValueError(f"state has dimension {state.dim}, expected {rho0.dim}")
-    projector = rho0.support_projector(PSD_ATOL)
+    projector = rho0.support_projector()
     overlap = float(np.real(np.trace(projector @ state.matrix)))
     guess = 0 if overlap >= 0.5 else 1
     success = 0.5 * (
@@ -232,20 +235,10 @@ def _recovery_kraus(members: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     with sigma = I/2 and M = N(I/2); inverses act on the support of M.
     Returned operators map dim(J) -> 2 and satisfy sum L+ L = P_supp(M).
     """
-    n = 5
-    kept = [q - 1 for q in members]
-    erased = [q - 1 for q in range(1, n + 1) if q not in members]
-    dim_kept = 2 ** len(kept)
-    dim_erased = 2 ** len(erased)
-
-    blocks = []
-    for s in (0, 1):
-        amps = encode_classical(s).amplitudes
-        blocks.append(
-            amps.reshape([2] * n).transpose(kept + erased).reshape(dim_kept, dim_erased)
-        )
+    blocks = [share_block(encode_classical(s), members) for s in (0, 1)]
     forward = [
-        np.stack([blocks[0][:, e], blocks[1][:, e]], axis=1) for e in range(dim_erased)
+        np.stack([blocks[0][:, e], blocks[1][:, e]], axis=1)
+        for e in range(blocks[0].shape[1])
     ]
 
     mixed = sum(k @ k.conj().T for k in forward) / 2.0

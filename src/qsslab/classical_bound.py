@@ -19,22 +19,22 @@ from typing import Iterable, Optional, Sequence
 
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) of bitmask row vectors."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        row = _gf2_reduce(row, pivots)
-        if row:
-            pivots[row.bit_length() - 1] = row
-    return len(pivots)
+    return len(_gf2_pivots(rows))
 
 
 def gf2_in_span(vec: int, rows: Iterable[int]) -> bool:
     """Whether ``vec`` lies in the GF(2) span of ``rows`` (bitmask ints)."""
+    return _gf2_reduce(vec, _gf2_pivots(rows)) == 0
+
+
+def _gf2_pivots(rows: Iterable[int]) -> dict[int, int]:
+    # Echelon basis of the rows, keyed by each pivot row's leading bit.
     pivots: dict[int, int] = {}
     for row in rows:
         row = _gf2_reduce(row, pivots)
         if row:
             pivots[row.bit_length() - 1] = row
-    return _gf2_reduce(vec, pivots) == 0
+    return pivots
 
 
 def _gf2_reduce(vec: int, pivots: dict[int, int]) -> int:

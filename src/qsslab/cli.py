@@ -24,7 +24,7 @@ from .access_analysis import (
     reconstruct_quantum,
 )
 from .code5 import QubitSecret, encode_classical, encode_quantum, verify_distance
-from .quantum_core import PureState, reduced_state, share_subset
+from .quantum_core import VERDICT_ATOL, PureState, reduced_state, share_subset
 from .classical_bound import ThresholdParams, check_bound, search_linear_schemes
 
 STATE_FORMAT_VERSION = 1
@@ -67,7 +67,7 @@ def read_state(path: str) -> PureState:
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -80,6 +80,11 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def _fmt(x: float) -> str:
     return f"{x:.15g}"
+
+
+def _table(rows: list[tuple[str, ...]]) -> list[str]:
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
 def _parse_complex(text: str) -> complex:
@@ -97,10 +102,6 @@ def _parse_members(text: str) -> tuple[int, ...]:
     except ValueError as exc:
         raise ValueError(f"cannot parse members from {text!r}") from exc
     return share_subset(members)
-
-
-def _parse_prior(q0: float) -> SecretPrior:
-    return SecretPrior.from_q0(q0)
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
@@ -130,8 +131,7 @@ def _report_table(report) -> str:
                 rec["classification"],
             )
         )
-    widths = [max(len(row[c]) for row in rows) for c in range(4)]
-    lines = ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip() for row in rows]
+    lines = _table(rows)
     lines.append(f"prior: q0={_fmt(report.prior.q0)} q1={_fmt(report.prior.q1)}")
     lines.append(f"threshold(3,5) structure: {str(report.is_threshold).lower()}")
     return "\n".join(lines) + "\n"
@@ -148,7 +148,7 @@ def _report_csv(report) -> str:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    report = access_structure_report(_parse_prior(args.prior))
+    report = access_structure_report(SecretPrior.from_q0(args.prior))
     if args.format == "json":
         doc = {
             "prior": {"q0": report.prior.q0, "q1": report.prior.q1},
@@ -186,8 +186,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
                     c.first_violation or "-",
                 )
             )
-        widths = [max(len(row[i]) for row in rows) for i in range(6)]
-        lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
+        lines = _table(rows)
         if report.certified_distance is None:
             lines.append(f"no violation up to weight {report.max_weight}")
         else:
@@ -205,8 +204,10 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     members = _parse_members(args.members)
     psi = read_state(args.state)
+    if psi.num_qubits != 5:
+        raise ValueError(f"reconstruct needs a five-qubit state, {args.state} holds {psi.num_qubits}")
     rho = reduced_state(psi, members)
-    prior = _parse_prior(args.prior)
+    prior = SecretPrior.from_q0(args.prior)
     doc: dict = {"members": list(members)}
 
     if args.mode in ("classical", "both"):
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("distance", help="run the error-operator distance certification")
     p_dist.add_argument("--max-weight", type=int, default=3)
-    p_dist.add_argument("--tolerance", type=float, default=1e-9)
+    p_dist.add_argument("--tolerance", type=float, default=VERDICT_ATOL)
     p_dist.add_argument("--expect", type=int, default=None, help="fail (exit 2) unless the certified distance matches")
     p_dist.add_argument("--format", choices=("json", "table"), default="table")
     p_dist.add_argument("--out", type=str, default=None)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .quantum_core import NORM_ATOL, PureState
+from .quantum_core import NORM_ATOL, VERDICT_ATOL, PureState
 
 #: (bit string, sign) terms of the code word for classical bit 0.
 WORD_TERMS_0: tuple[tuple[str, int], ...] = (
@@ -89,6 +89,8 @@ class QubitSecret:
     alpha1: complex
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.alpha0, self.alpha1]).all():
+            raise ValueError(f"secret amplitudes must be finite: {self}")
         norm_sq = abs(self.alpha0) ** 2 + abs(self.alpha1) ** 2
         if abs(norm_sq - 1.0) > NORM_ATOL:
             raise ValueError(f"secret is not normalized: |alpha|^2 = {norm_sq!r}")
@@ -125,6 +127,33 @@ class PauliOperator:
         return sum(1 for c in self.letters if c != "I")
 
 
+#: i^k for k = 0..3, exact (1j ** 2 is not exactly -1 in floating point).
+_I_POWERS = np.array([1, 1j, -1, -1j])
+#: Parity of the set bits of every index of a state of at most five qubits.
+_PARITY = np.array([bin(b).count("1") & 1 for b in range(32)], dtype=np.int8)
+
+
+def _pauli_action(ops: Sequence[str], amplitudes: np.ndarray) -> np.ndarray:
+    """E|psi> for every Pauli string E in ``ops``, one row per operator.
+
+    A string is an x mask (its X and Y positions) and a z mask (its Z and
+    Y positions), big-endian like the basis. With Y = iXZ, every operator
+    acts on a basis ket as E|b> = i^{#Y} (-1)^{popcount(b & z)} |b ^ x>.
+    """
+    letters = np.array([list(op) for op in ops])
+    place = 1 << np.arange(letters.shape[1])[::-1]
+    is_y = letters == "Y"
+    x = ((letters == "X") | is_y) @ place
+    z = ((letters == "Z") | is_y) @ place
+    # Row k, column c holds b = c ^ x_k, the basis ket E_k maps onto |c>.
+    # Small integer types and in-place products keep the peak memory low.
+    source = np.arange(amplitudes.size) ^ x[:, None]
+    out = amplitudes[source]
+    out *= 1 - 2 * _PARITY[source & z[:, None]]
+    out *= _I_POWERS[is_y.sum(axis=1) % 4][:, None]
+    return out
+
+
 def apply_pauli(op: PauliOperator, psi: PureState) -> PureState:
     """Apply a Pauli string to a state (Y = iXZ convention).
 
@@ -135,21 +164,7 @@ def apply_pauli(op: PauliOperator, psi: PureState) -> PureState:
         raise ValueError(
             f"operator acts on {len(op.letters)} qubits, state has {psi.num_qubits}"
         )
-    n = psi.num_qubits
-    idx = np.arange(psi.dim)
-    amps = psi.amplitudes
-    for pos, letter in enumerate(op.letters):
-        if letter == "I":
-            continue
-        shift = n - 1 - pos
-        bit_sign = np.where((idx >> shift) & 1, -1.0, 1.0)
-        if letter == "X":
-            amps = amps[idx ^ (1 << shift)]
-        elif letter == "Z":
-            amps = amps * bit_sign
-        else:  # Y = i X Z
-            amps = 1j * (amps * bit_sign)[idx ^ (1 << shift)]
-    return PureState(n, amps)
+    return PureState(psi.num_qubits, _pauli_action([op.letters], psi.amplitudes)[0])
 
 
 @dataclass(frozen=True)
@@ -190,7 +205,7 @@ class DistanceReport:
         return all(c.violations == 0 for c in self.checks if c.weight <= weight)
 
 
-def verify_distance(max_weight: int, tolerance: float = 1e-9) -> DistanceReport:
+def verify_distance(max_weight: int, tolerance: float = VERDICT_ATOL) -> DistanceReport:
     """Scan all Pauli operators of weight 1..max_weight against the code.
 
     For each operator E this compares the two code words through
@@ -199,42 +214,30 @@ def verify_distance(max_weight: int, tolerance: float = 1e-9) -> DistanceReport:
     """
     if not 1 <= max_weight <= 5:
         raise ValueError(f"max_weight must be in 1..5, got {max_weight}")
-    w0 = encode_classical(0)
-    w1 = encode_classical(1)
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+    w0 = encode_classical(0).amplitudes
+    w1 = encode_classical(1).amplitudes
     checks = []
     for weight in range(1, max_weight + 1):
-        count = 0
-        max_off = 0.0
-        max_dd = 0.0
-        violations = 0
-        first: Optional[str] = None
-        for positions in itertools.combinations(range(5), weight):
-            for letters in itertools.product("XYZ", repeat=weight):
-                full = ["I"] * 5
-                for pos, letter in zip(positions, letters):
-                    full[pos] = letter
-                op = PauliOperator("".join(full))
-                e_w1 = apply_pauli(op, w1).amplitudes
-                e_w0 = apply_pauli(op, w0).amplitudes
-                off = abs(np.vdot(w0.amplitudes, e_w1))
-                diag_diff = abs(
-                    np.vdot(w0.amplitudes, e_w0) - np.vdot(w1.amplitudes, e_w1)
-                )
-                count += 1
-                max_off = max(max_off, off)
-                max_dd = max(max_dd, diag_diff)
-                if off > tolerance or diag_diff > tolerance:
-                    violations += 1
-                    if first is None:
-                        first = op.letters
+        ops = [
+            "".join(dict(zip(positions, letters)).get(q, "I") for q in range(5))
+            for positions in itertools.combinations(range(5), weight)
+            for letters in itertools.product("XYZ", repeat=weight)
+        ]
+        e_w0 = _pauli_action(ops, w0)
+        e_w1 = _pauli_action(ops, w1)
+        off = np.abs(e_w1 @ w0.conj())
+        diag_diff = np.abs(e_w0 @ w0.conj() - e_w1 @ w1.conj())
+        violating = np.flatnonzero((off > tolerance) | (diag_diff > tolerance))
         checks.append(
             WeightCheck(
                 weight=weight,
-                operators_checked=count,
-                max_off_diagonal=max_off,
-                max_diagonal_difference=max_dd,
-                violations=violations,
-                first_violation=first,
+                operators_checked=len(ops),
+                max_off_diagonal=float(off.max()),
+                max_diagonal_difference=float(diag_diff.max()),
+                violations=violating.size,
+                first_violation=ops[violating[0]] if violating.size else None,
             )
         )
     return DistanceReport(max_weight=max_weight, tolerance=tolerance, checks=tuple(checks))

@@ -22,14 +22,18 @@ from typing import Iterable
 
 import numpy as np
 
-#: Unit-norm / unit-trace / Hermitian tolerance for exact inputs.
+#: Unit-norm / unit-trace / Hermitian tolerance for exact inputs and priors.
 NORM_ATOL = 1e-12
+#: Allowed deviation of |psi|^2 from 1; the amplitudes are then rescaled.
+STATE_NORM_ATOL = 1e-9
 #: Eigenvalues above this count as support; below -PSD_ATOL is an error.
 PSD_ATOL = 1e-10
 #: Hermiticity tolerance accepted by the eigensolver.
 HERMITIAN_ATOL = 1e-10
-#: Eigenvalues smaller than this contribute nothing to entropy.
+#: Eigenvalues (and prior probabilities) below this add nothing to entropy.
 ENTROPY_EIGENVALUE_FLOOR = 1e-12
+#: Deviation a verdict allows: subset classification and the distance scan.
+VERDICT_ATOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -52,8 +56,10 @@ class PureState:
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes, got {amps.size}"
             )
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         norm_sq = float(np.real(np.vdot(amps, amps)))
-        if abs(norm_sq - 1.0) > 1e-9:
+        if abs(norm_sq - 1.0) > STATE_NORM_ATOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
         # Absorb rounding noise so downstream invariants hold to 1e-12.
         amps /= math.sqrt(norm_sq)
@@ -117,9 +123,9 @@ class DensityMatrix:
         """Orthonormal eigenvectors, column k matching eigenvalues[k]."""
         return self._eigenvectors  # type: ignore[attr-defined]
 
-    def support_projector(self, threshold: float = PSD_ATOL) -> np.ndarray:
-        """Projector onto the span of eigenvectors with eigenvalue > threshold."""
-        keep = self.eigenvalues > threshold
+    def support_projector(self) -> np.ndarray:
+        """Projector onto the span of eigenvectors with eigenvalue > PSD_ATOL."""
+        keep = self.eigenvalues > PSD_ATOL
         v = self.eigenvectors[:, keep]
         return v @ v.conj().T
 
@@ -150,18 +156,21 @@ def all_nonempty_subsets(num_qubits: int = 5) -> list[tuple[int, ...]]:
     ]
 
 
-def reduced_state(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
-    """Partial trace of |psi><psi| onto the qubits in ``keep``.
+def share_block(psi: PureState, keep: Iterable[int]) -> np.ndarray:
+    """The amplitudes of |psi> as a (kept qubits) x (other qubits) matrix.
 
-    The reduced matrix is indexed big-endian over the kept qubits in
-    ascending order of their original labels.
+    Rows and columns are both indexed big-endian over their qubits in
+    ascending order of the original labels.
     """
     members = share_subset(keep, psi.num_qubits)
-    n = psi.num_qubits
-    kept_axes = [q - 1 for q in members]
-    traced_axes = [q - 1 for q in range(1, n + 1) if q not in members]
-    tensor = psi.amplitudes.reshape([2] * n).transpose(kept_axes + traced_axes)
-    block = tensor.reshape(2 ** len(kept_axes), -1)
+    others = tuple(q for q in range(1, psi.num_qubits + 1) if q not in members)
+    tensor = psi.amplitudes.reshape([2] * psi.num_qubits)
+    return tensor.transpose([q - 1 for q in members + others]).reshape(2 ** len(members), -1)
+
+
+def reduced_state(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
+    """Partial trace of |psi><psi| onto the qubits in ``keep``, as share_block orders them."""
+    block = share_block(psi, keep)
     return DensityMatrix(block @ block.conj().T)
 
 
@@ -218,28 +227,22 @@ def _jacobi_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[order], v[:, order]
 
 
-def hermitian_eig(matrix: np.ndarray | DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix; the only eigensolver entry.
 
     Returns (values, vectors) with real eigenvalues in descending order
     and orthonormal eigenvectors as matching columns. Raises ValueError
-    if the input deviates from Hermitian by more than 1e-10.
+    on a non-finite entry or a deviation from Hermitian above 1e-10.
     """
-    if isinstance(matrix, DensityMatrix):
-        return matrix.eigenvalues.copy(), matrix.eigenvectors.copy()
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     if np.max(np.abs(m - m.conj().T)) > HERMITIAN_ATOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
     # Symmetrize away rounding noise so the rotations see an exact input.
     return _jacobi_eig((m + m.conj().T) / 2.0)
-
-
-def eigenvalues_hermitian(matrix: np.ndarray | DensityMatrix) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, descending."""
-    values, _ = hermitian_eig(matrix)
-    return values
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -251,7 +254,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def trace_norm(matrix: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.abs(eigenvalues_hermitian(matrix)).sum())
+    return float(np.abs(hermitian_eig(matrix)[0]).sum())
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

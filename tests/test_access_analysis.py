@@ -42,6 +42,11 @@ class TestSecretPrior:
         with pytest.raises(ValueError, match="sum to 1"):
             SecretPrior(0.5, 0.6)
 
+    @pytest.mark.parametrize("q0", [math.nan, math.inf])
+    def test_rejects_non_finite(self, q0):
+        with pytest.raises(ValueError, match="finite"):
+            SecretPrior.from_q0(q0)
+
     def test_from_q0(self):
         prior = SecretPrior.from_q0(0.3)
         assert prior.q1 == pytest.approx(0.7)

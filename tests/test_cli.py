@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qsslab import access_analysis
 from qsslab.cli import main, read_state, state_from_document, state_to_document
 from qsslab.code5 import encode_classical
 
@@ -67,6 +68,13 @@ class TestEncodeCommand:
     def test_missing_inputs_fail(self):
         assert run("encode") == 1
 
+    def test_non_finite_amplitude_fails(self, tmp_path, capsys):
+        out = tmp_path / "nan.json"
+        assert run("encode", "--alpha0", "nan", "--alpha1", "0", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestReportCommand:
     def test_json_report_structure(self, tmp_path):
@@ -108,6 +116,19 @@ class TestReportCommand:
     def test_invalid_prior_fails(self, capsys):
         assert run("report", "--prior", "1.5") == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_prior_fails(self, capsys):
+        assert run("report", "--prior", "nan") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+
+    def test_indeterminate_classification_fails_with_2(self, monkeypatch, capsys):
+        # A negative tolerance lets no subset meet either predicate.
+        monkeypatch.setattr(access_analysis, "VERDICT_ATOL", -1.0)
+        assert run("report", "--prior", "0.5") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification failure:")
 
 
 class TestDistanceCommand:
@@ -172,6 +193,15 @@ class TestReconstructCommand:
 
     def test_bad_members_fail(self, state_file):
         assert run("reconstruct", "--state", state_file, "--members", "1,9") == 1
+
+    def test_three_qubit_state_file_fails(self, tmp_path, capsys):
+        path = tmp_path / "three.json"
+        amps = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
+        path.write_text(json.dumps({"format": 1, "num_qubits": 3, "amplitudes": amps}))
+        assert run("reconstruct", "--state", str(path), "--members", "1,2,3") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "five-qubit" in captured.err
 
 
 class TestSearchCommand:

@@ -77,6 +77,30 @@ class TestCodeTable:
             CodeTable(terms_0=tampered, terms_1=WORD_TERMS_1)
 
 
+class TestCodeWordsAgainstStabilizers:
+    """The hard-coded tables against the code's defining operators.
+
+    The stabilizer group of the five-qubit code is generated by the cyclic
+    shifts of XZZXI (Laflamme et al. 1996); ZZZZZ and XXXXX act as the
+    logical Z and X. The operators are built with np.kron, not apply_pauli.
+    """
+
+    @pytest.mark.parametrize("generator", ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
+    def test_generators_fix_both_code_words(self, generator):
+        for s in (0, 1):
+            word = encode_classical(s).amplitudes
+            np.testing.assert_allclose(pauli_matrix(generator) @ word, word, atol=1e-15)
+
+    def test_logical_z_has_eigenvalue_plus_one_on_w0_minus_one_on_w1(self):
+        w0, w1 = encode_classical(0).amplitudes, encode_classical(1).amplitudes
+        np.testing.assert_allclose(pauli_matrix("ZZZZZ") @ w0, w0, atol=1e-15)
+        np.testing.assert_allclose(pauli_matrix("ZZZZZ") @ w1, -w1, atol=1e-15)
+
+    def test_logical_x_maps_w0_to_w1(self):
+        w0, w1 = encode_classical(0).amplitudes, encode_classical(1).amplitudes
+        np.testing.assert_allclose(pauli_matrix("XXXXX") @ w0, w1, atol=1e-15)
+
+
 class TestEncodeClassical:
     def test_word_0_signed_amplitudes(self):
         amps = encode_classical(0).amplitudes
@@ -144,6 +168,11 @@ class TestEncodeQuantum:
     def test_rejects_unnormalized_secret(self):
         with pytest.raises(ValueError, match="not normalized"):
             QubitSecret(1.0, 1.0)
+
+    @pytest.mark.parametrize("alpha0", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_rejects_non_finite_secret(self, alpha0):
+        with pytest.raises(ValueError, match="finite"):
+            QubitSecret(alpha0, 0.0)
 
     def test_global_phase_leaves_reduced_states_unchanged(self):
         rng = np.random.default_rng(17)
@@ -266,6 +295,11 @@ class TestVerifyDistance:
         report = verify_distance(5)
         assert [c.violations for c in report.checks] == [0, 0, 30, 0, 18]
         assert report.certified_distance == 3
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-9])
+    def test_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_distance(3, tolerance=tolerance)
 
     def test_rejects_out_of_range_weight(self):
         with pytest.raises(ValueError, match="1..5"):

@@ -13,7 +13,6 @@ from qsslab.quantum_core import (
     DensityMatrix,
     PureState,
     all_nonempty_subsets,
-    eigenvalues_hermitian,
     hermitian_eig,
     reduced_state,
     share_subset,
@@ -77,6 +76,11 @@ class TestPureState:
         with pytest.raises(ValueError, match="num_qubits"):
             PureState(6, np.zeros(64))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PureState(1, np.array([bad, 0.0]))
+
     def test_absorbs_rounding_noise(self):
         amps = np.array([1.0 + 3e-11, 0.0])
         psi = PureState(1, amps)
@@ -100,6 +104,10 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalues(self):
         with pytest.raises(ValueError, match="PSD"):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.array([[np.nan, 0.0], [0.0, 0.5]]))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of 2"):
@@ -178,11 +186,11 @@ class TestReducedState:
 
 class TestEigensolver:
     def test_diagonal_input(self):
-        values = eigenvalues_hermitian(np.diag([0.5, 0.5]))
+        values = hermitian_eig(np.diag([0.5, 0.5]))[0]
         np.testing.assert_allclose(values, [0.5, 0.5], atol=1e-12)
 
     def test_rank_one_projector(self):
-        values = eigenvalues_hermitian(np.full((2, 2), 0.5))
+        values = hermitian_eig(np.full((2, 2), 0.5))[0]
         np.testing.assert_allclose(values, [1.0, 0.0], atol=1e-12)
 
     def test_two_share_reduction_is_maximally_mixed(self):
@@ -191,7 +199,7 @@ class TestEigensolver:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            eigenvalues_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_reconstruction_residual_on_random_4x4(self):
         rng = np.random.default_rng(23)
@@ -211,7 +219,7 @@ class TestEigensolver:
         rng = np.random.default_rng(dim)
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (a + a.conj().T) / 2
-        ours = eigenvalues_hermitian(h)
+        ours = hermitian_eig(h)[0]
         reference = np.linalg.eigvalsh(h)[::-1]
         np.testing.assert_allclose(ours, reference, atol=1e-10)
 
