@@ -8,9 +8,9 @@ information. This scheme is perfect, so every subset must land in exactly
 one class; anything else signals an implementation bug and raises.
 
 Reconstruction comes in two flavors: a projective measurement recovering
-the classical bit, and an exact erasure-recovery channel (a transpose /
-Petz map built from the code's correctability data) recovering the full
-qubit secret for subsets of three or more shares.
+the classical bit, and an exact erasure-recovery channel (the adjoint of
+the code isometry seen from J, exact because the code corrects the lost
+shares' erasure) recovering the full qubit secret from three or more shares.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .code5 import QubitSecret, encode_classical
 from .quantum_core import (
     ENTROPY_EIGENVALUE_FLOOR,
     NORM_ATOL,
-    PSD_ATOL,
     VERDICT_ATOL,
     DensityMatrix,
     all_nonempty_subsets,
@@ -222,40 +221,24 @@ def reconstruct_classical(
 
 
 @functools.lru_cache(maxsize=None)
-def _recovery_kraus(members: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def _recovery_kraus(members: tuple[int, ...]) -> np.ndarray:
     """Kraus operators of the exact erasure-recovery channel for J.
 
-    Losing the complement of J is the channel N(rho_L) = Tr_Jbar(V rho_L V+)
-    with V the encoding isometry. Because the code corrects that erasure,
-    the transpose (Petz) map of N taken at the maximally mixed logical
-    state inverts it exactly:
-
-        R(X) = sigma^{1/2} N+( M^{-1/2} X M^{-1/2} ) sigma^{1/2},
-
-    with sigma = I/2 and M = N(I/2); inverses act on the support of M.
-    Returned operators map dim(J) -> 2 and satisfy sum L+ L = P_supp(M).
+    With b_s = share_block(w_s, J), a dim(J) x E block over the lost
+    shares, W|s>|e> = sqrt(E) b_s[:, e] is an isometry exactly when the
+    code corrects their erasure (Knill-Laflamme), and its adjoint, the
+    transpose (Petz) map, undoes it: L_e = sqrt(E) (b_0[:, e], b_1[:, e])+.
+    Returns one read-only (E, 2, dim J) array; raises RuntimeError when
+    W is not an isometry.
     """
-    blocks = [share_block(encode_classical(s), members) for s in (0, 1)]
-    forward = [
-        np.stack([blocks[0][:, e], blocks[1][:, e]], axis=1)
-        for e in range(blocks[0].shape[1])
-    ]
-
-    mixed = sum(k @ k.conj().T for k in forward) / 2.0
-    rho_mix = DensityMatrix(mixed)
-    lam, vec = rho_mix.eigenvalues, rho_mix.eigenvectors
-    inv_sqrt = np.zeros_like(lam)
-    support = lam > PSD_ATOL
-    inv_sqrt[support] = 1.0 / np.sqrt(lam[support])
-    m_inv_half = (vec * inv_sqrt) @ vec.conj().T
-
-    sigma_half = 1.0 / math.sqrt(2.0)
-    recovery = []
-    for k in forward:
-        op = sigma_half * k.conj().T @ m_inv_half
-        op.setflags(write=False)
-        recovery.append(op)
-    return tuple(recovery)
+    blocks = np.stack([share_block(encode_classical(s), members) for s in (0, 1)])
+    lost = blocks.shape[2]
+    kraus = math.sqrt(lost) * blocks.conj().transpose(2, 0, 1)
+    adjoint = kraus.reshape(2 * lost, -1)
+    if np.max(np.abs(adjoint @ adjoint.conj().T - np.eye(2 * lost))) > NORM_ATOL:
+        raise RuntimeError(f"the code does not correct the loss of the shares outside {members}")
+    kraus.setflags(write=False)
+    return kraus
 
 
 @dataclass(frozen=True)
@@ -288,10 +271,8 @@ def reconstruct_quantum(
         raise ValueError(
             f"state has dimension {state.dim}, expected {2 ** len(members)}"
         )
-    out = np.zeros((2, 2), dtype=complex)
-    for kraus in _recovery_kraus(members):
-        out += kraus @ state.matrix @ kraus.conj().T
-    recovered = DensityMatrix(out)
+    kraus = _recovery_kraus(members)
+    recovered = DensityMatrix((kraus @ state.matrix @ kraus.conj().transpose(0, 2, 1)).sum(0))
     fidelity = None
     if secret is not None:
         target = secret.amplitudes()

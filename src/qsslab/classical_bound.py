@@ -127,27 +127,21 @@ class LinearScheme:
 def scheme_subset_status(scheme: LinearScheme, members: Iterable[int]) -> SubsetStatus:
     """Qualified/Unqualified status of a share subset of a linear scheme.
 
-    The subset is Unqualified exactly when its secret-coefficient vector
-    (a_i) lies in the column span of its randomness block (b_i): the share
-    distributions for s=0 and s=1 are then identical cosets.
+    The subset is Qualified exactly when the secret functional (1 | 0)
+    lies in the GF(2) row span of its share vectors (a_i | b_i): some sum
+    of its shares then equals s. Otherwise the share distributions for
+    s=0 and s=1 are identical cosets and the subset is Unqualified.
     """
     subset = tuple(sorted(members))
     if len(set(subset)) != len(subset):
         raise ValueError(f"duplicate members in {subset}")
     if subset and (subset[0] < 1 or subset[-1] > scheme.n):
         raise ValueError(f"members must lie in 1..{scheme.n}, got {subset}")
-    a_vec = 0
-    for t, i in enumerate(subset):
-        a_vec |= scheme.vectors[i - 1][0] << t
-    columns = []
-    for c in range(scheme.m):
-        col = 0
-        for t, i in enumerate(subset):
-            col |= scheme.vectors[i - 1][1 + c] << t
-        columns.append(col)
-    if gf2_in_span(a_vec, columns):
-        return SubsetStatus.UNQUALIFIED
-    return SubsetStatus.QUALIFIED
+    vectors = [scheme.vectors[i - 1] for i in subset]
+    rows = [sum(bit << (scheme.m - c) for c, bit in enumerate(vec)) for vec in vectors]
+    if gf2_in_span(1 << scheme.m, rows):
+        return SubsetStatus.QUALIFIED
+    return SubsetStatus.UNQUALIFIED
 
 
 def realizes_threshold(scheme: LinearScheme, k: int) -> bool:
@@ -212,50 +206,46 @@ def _search_fixed_m(
     secret_vec = 1 << m  # (a=1, b=0): the functional picking out s itself
     assigned: list[int] = []
 
-    def build_scheme() -> LinearScheme:
-        return LinearScheme(
-            n=n, m=m, vectors=tuple(_vector_from_int(x, m) for x in assigned)
-        )
+    def cosets(size: int) -> list[set[int]]:
+        # A subset S + {depth} is Qualified iff the candidate lands in
+        # secret_vec ^ span(S): one coset per size-subset S of the shares.
+        return [
+            {secret_vec ^ v for v in _span_values(combo)}
+            for combo in itertools.combinations(assigned, size)
+        ]
 
     def dfs(depth: int) -> Optional[LinearScheme]:
-        # A subset S + {depth} is Qualified iff the candidate lands in
-        # secret_vec ^ span(S), so the subset constraints collapse to
-        # membership tests precomputed once per node.
+        # No S of size <= k - 2 may qualify with the candidate, and every
+        # S of size k - 1 must; spans grow with their subsets, so the
+        # subsets of size min(depth, k - 2) cover every smaller one.
         forbidden: set[int] = set()
         required: Optional[set[int]] = None
-        if prune:
-            for size in range(0, k - 1):
-                for combo in itertools.combinations(range(depth), size):
-                    span = _span_values([assigned[i] for i in combo])
-                    forbidden |= {secret_vec ^ v for v in span}
-            if depth >= k - 1:
-                for combo in itertools.combinations(range(depth), k - 1):
-                    span = _span_values([assigned[i] for i in combo])
-                    reachable = {secret_vec ^ v for v in span}
-                    required = reachable if required is None else required & reachable
+        if prune and k >= 2:
+            forbidden = set().union(*cosets(min(depth, k - 2)))
+        if prune and depth >= k - 1:
+            required = set.intersection(*cosets(k - 1))
 
         for x in range(num_candidates):
             counters.assignments += 1
-            if prune:
-                if x in forbidden:
-                    counters.small += 1
-                    continue
-                if required is not None and x not in required:
-                    counters.large += 1
-                    continue
+            if x in forbidden:
+                counters.small += 1
+                continue
+            if required is not None and x not in required:
+                counters.large += 1
+                continue
             assigned.append(x)
             witness: Optional[LinearScheme] = None
             if depth == n - 1:
                 counters.schemes += 1
-                scheme = build_scheme()
+                scheme = LinearScheme(
+                    n=n, m=m, vectors=tuple(_vector_from_int(v, m) for v in assigned)
+                )
                 if realizes_threshold(scheme, k):
                     witness = scheme
                 elif prune:
                     # Incremental constraints guarantee threshold structure
                     # at a pruned-mode leaf; disagreement is a bug.
-                    raise RuntimeError(
-                        f"pruned search reached inconsistent leaf {scheme}"
-                    )
+                    raise RuntimeError(f"pruned search reached inconsistent leaf {scheme}")
             else:
                 witness = dfs(depth + 1)
             assigned.pop()

@@ -1,9 +1,9 @@
 """Command-line front end: encode states, emit reports, run verifications.
 
-Exit codes: 0 success, 1 domain error (bad values, malformed files),
-2 verification failure (indeterminate classification or a failed
---expect check). All numeric table/csv output carries 15 significant
-digits; JSON uses exact round-trip floats.
+Exit codes: 0 success, 1 domain error (bad values, malformed files,
+states outside the code space), 2 verification failure (a failed
+--expect check or any internal RuntimeError). All numeric table/csv
+output carries 15 significant digits; JSON uses exact round-trip floats.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .access_analysis import (
-    IndeterminateClassificationError,
     SecretPrior,
     access_structure_report,
     reconstruct_classical,
@@ -206,6 +205,9 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     psi = read_state(args.state)
     if psi.num_qubits != 5:
         raise ValueError(f"reconstruct needs a five-qubit state, {args.state} holds {psi.num_qubits}")
+    weight = sum(abs(encode_classical(s).overlap(psi)) ** 2 for s in (0, 1))
+    if weight < 1.0 - VERDICT_ATOL:
+        raise ValueError(f"{args.state} lies outside the code space: weight {_fmt(weight)}")
     rho = reduced_state(psi, members)
     prior = SecretPrior.from_q0(args.prior)
     doc: dict = {"members": list(members)}
@@ -327,7 +329,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IndeterminateClassificationError as exc:
+    except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

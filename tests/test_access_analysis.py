@@ -10,6 +10,7 @@ from qsslab.access_analysis import (
     SecretPrior,
     UNIFORM_PRIOR,
     UnqualifiedSubsetError,
+    _recovery_kraus,
     access_structure_report,
     classify_subset,
     codeword_reductions,
@@ -267,6 +268,31 @@ class TestReconstructQuantum:
         rho = reduced_state(encode_quantum(secret), [3, 4, 5])
         result = reconstruct_quantum([3, 4, 5], rho)
         assert np.trace(result.recovered.matrix).real == pytest.approx(1.0, abs=1e-10)
+
+
+QUALIFIED_SUBSETS = [j for j in all_nonempty_subsets(5) if len(j) >= 3]
+
+
+class TestRecoveryAlgebra:
+    def test_two_shares_are_not_correctable(self):
+        with pytest.raises(RuntimeError, match="does not correct"):
+            _recovery_kraus((1, 2))
+
+    @pytest.mark.parametrize("members", QUALIFIED_SUBSETS, ids=str)
+    def test_kraus_operators_are_the_isometry_adjoint(self, members):
+        # Sum L+ L projects onto the range of W, which has dimension 2E.
+        kraus = _recovery_kraus(members)
+        lost = 2 ** (5 - len(members))
+        assert kraus.shape == (lost, 2, 2 ** len(members))
+        assert not kraus.flags.writeable
+        projector = np.einsum("eki,ekj->ij", kraus.conj(), kraus)
+        np.testing.assert_allclose(projector, projector.conj().T, atol=1e-12)
+        np.testing.assert_allclose(projector @ projector, projector, atol=1e-12)
+        assert np.trace(projector).real == pytest.approx(2 * lost, abs=1e-12)
+        for s, rho in enumerate(codeword_reductions(members)):
+            np.testing.assert_allclose(projector @ rho.matrix, rho.matrix, atol=1e-12)
+            recovered = (kraus @ rho.matrix @ kraus.conj().transpose(0, 2, 1)).sum(0)
+            np.testing.assert_allclose(recovered, np.diag([1.0 - s, s]), atol=1e-12)
 
 
 class TestCodewordReductions:

@@ -116,14 +116,15 @@ class TestSubsetStatus:
         with pytest.raises(ValueError, match="1..2"):
             scheme_subset_status(XOR_SCHEME, (1, 3))
 
-    def test_status_matches_distribution_oracle(self):
+    @pytest.mark.parametrize("n, m", [(2, 0), (3, 2), (4, 3)])
+    def test_status_matches_distribution_oracle(self, n, m):
         import numpy as np
 
         rng = np.random.default_rng(73)
         for _ in range(25):
-            scheme = random_scheme(rng, n=3, m=2)
-            for size in (1, 2, 3):
-                for members in itertools.combinations((1, 2, 3), size):
+            scheme = random_scheme(rng, n=n, m=m)
+            for size in range(n + 1):
+                for members in itertools.combinations(range(1, n + 1), size):
                     dist0, dist1 = share_distributions(scheme, members)
                     status = scheme_subset_status(scheme, members)
                     if status is SubsetStatus.UNQUALIFIED:
@@ -196,6 +197,28 @@ class TestSearch:
             search_linear_schemes(5, 3, 6)
         with pytest.raises(ValueError, match="k="):
             search_linear_schemes(3, 4, 2)
+
+    @pytest.mark.parametrize(
+        "n, k, m_max, prune, expected",
+        [
+            (3, 1, 2, True, (True, ((1,), (1,), (1,)), 6, 1, 0, 3)),
+            (3, 1, 2, False, (True, ((1,), (1,), (1,)), 14, 8, 0, 0)),
+            (4, 2, 3, True, (False, None, 620, 0, 52, 520)),
+            (3, 2, 2, False, (False, None, 682, 584, 0, 0)),
+            (4, 4, 2, True, (False, None, 2208, 0, 956, 963)),
+        ],
+    )
+    def test_report_fields_are_pinned(self, n, k, m_max, prune, expected):
+        report = search_linear_schemes(n, k, m_max, prune=prune)
+        witness = report.witness.vectors if report.witness is not None else None
+        assert (
+            report.found,
+            witness,
+            report.assignments_tried,
+            report.schemes_completed,
+            report.pruned_small_qualified,
+            report.pruned_large_unqualified,
+        ) == expected
 
     def test_report_is_deterministic(self):
         first = search_linear_schemes(3, 2, 1)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qsslab import access_analysis
+from qsslab import access_analysis, cli
 from qsslab.cli import main, read_state, state_from_document, state_to_document
 from qsslab.code5 import encode_classical
 
@@ -202,6 +202,28 @@ class TestReconstructCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "five-qubit" in captured.err
+
+    def test_state_outside_code_space_fails(self, tmp_path, capsys):
+        path = tmp_path / "zeros.json"
+        amps = [[1.0, 0.0]] + [[0.0, 0.0]] * 31
+        path.write_text(json.dumps({"format": 1, "num_qubits": 5, "amplitudes": amps}))
+        assert run(
+            "reconstruct", "--state", str(path), "--members", "1,2,3",
+            "--expect-secret", "0",
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside the code space: weight 0.0625" in captured.err
+
+    def test_internal_failure_fails_with_2(self, state_file, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise RuntimeError("recovery failed")
+
+        monkeypatch.setattr(cli, "reconstruct_quantum", fail)
+        assert run("reconstruct", "--state", state_file, "--members", "1,2,3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verification failure: recovery failed\n"
 
 
 class TestSearchCommand:
