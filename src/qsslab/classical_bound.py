@@ -162,7 +162,9 @@ class SearchReport:
     ``schemes_completed`` counts fully assigned schemes that reached final
     evaluation. The two pruned counters record branches cut because a
     small subset was already Qualified, respectively because a complete
-    k-subset failed to qualify (both cuts are sound for the verdict).
+    k-subset failed to qualify (both cuts are sound for the verdict). They
+    are popcounts of bitmask candidate sets, equal to what a loop over the
+    candidates in order counts up to the one where a witness ends it.
     """
 
     n: int
@@ -192,68 +194,72 @@ def _vector_from_int(x: int, m: int) -> tuple[int, ...]:
     return tuple((x >> (m - c)) & 1 for c in range(m + 1))
 
 
-def _span_values(values: Sequence[int]) -> set[int]:
-    span = {0}
-    for v in values:
-        span |= {v ^ w for w in span}
-    return span
-
-
 def _search_fixed_m(
     n: int, k: int, m: int, prune: bool, counters: _Counters
 ) -> Optional[LinearScheme]:
-    num_candidates = 1 << (m + 1)
+    everything = (1 << (1 << (m + 1))) - 1  # candidate sets: bit x is vector x
     secret_vec = 1 << m  # (a=1, b=0): the functional picking out s itself
     assigned: list[int] = []
 
-    def cosets(size: int) -> list[set[int]]:
-        # A subset S + {depth} is Qualified iff the candidate lands in
-        # secret_vec ^ span(S): one coset per size-subset S of the shares.
-        return [
-            {secret_vec ^ v for v in _span_values(combo)}
-            for combo in itertools.combinations(assigned, size)
-        ]
+    def coset(vectors: Sequence[int]) -> int:
+        # A subset S + {x} is Qualified iff x lies in secret_vec ^ span(S).
+        members = [secret_vec]
+        for v in vectors:
+            members += [v ^ w for w in members]
+        mask = 0
+        for w in members:
+            mask |= 1 << w
+        return mask
 
-    def dfs(depth: int) -> Optional[LinearScheme]:
-        # No S of size <= k - 2 may qualify with the candidate, and every
-        # S of size k - 1 must; spans grow with their subsets, so the
-        # subsets of size min(depth, k - 2) cover every smaller one.
-        forbidden: set[int] = set()
-        required: Optional[set[int]] = None
-        if prune and k >= 2:
-            forbidden = set().union(*cosets(min(depth, k - 2)))
-        if prune and depth >= k - 1:
-            required = set.intersection(*cosets(k - 1))
+    def count(forbidden: int, required: int, seen: int) -> None:
+        counters.assignments += seen.bit_count()
+        counters.small += (seen & forbidden).bit_count()
+        counters.large += (seen & ~forbidden & ~required).bit_count()
 
-        for x in range(num_candidates):
-            counters.assignments += 1
-            if x in forbidden:
-                counters.small += 1
-                continue
-            if required is not None and x not in required:
-                counters.large += 1
-                continue
-            assigned.append(x)
-            witness: Optional[LinearScheme] = None
+    def dfs(depth: int, forbidden: int, required: int) -> Optional[LinearScheme]:
+        # When pruning, forbidden is the union of the cosets of all assigned
+        # S with |S| <= k - 2, required the intersection over |S| = k - 1 (all
+        # candidates until such S exist). Spans grow with subsets, so a child
+        # adds only the cosets of the largest S that contain its new share x.
+        allowed = required & ~forbidden
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            x = low.bit_length() - 1
             if depth == n - 1:
                 counters.schemes += 1
-                scheme = LinearScheme(
-                    n=n, m=m, vectors=tuple(_vector_from_int(v, m) for v in assigned)
+                witness: Optional[LinearScheme] = LinearScheme(
+                    n=n, m=m, vectors=tuple(_vector_from_int(v, m) for v in assigned + [x])
                 )
-                if realizes_threshold(scheme, k):
-                    witness = scheme
-                elif prune:
-                    # Incremental constraints guarantee threshold structure
-                    # at a pruned-mode leaf; disagreement is a bug.
-                    raise RuntimeError(f"pruned search reached inconsistent leaf {scheme}")
+                if not realizes_threshold(witness, k):
+                    if prune:
+                        # Incremental constraints guarantee threshold structure
+                        # at a pruned-mode leaf; disagreement is a bug.
+                        raise RuntimeError(f"pruned search reached inconsistent leaf {witness}")
+                    witness = None
             else:
-                witness = dfs(depth + 1)
-            assigned.pop()
+                child_forbidden, child_required = forbidden, required
+                if prune and k >= 3:
+                    for combo in itertools.combinations(assigned, min(depth, k - 3)):
+                        child_forbidden |= coset(combo + (x,))
+                if prune and k >= 2:
+                    for combo in itertools.combinations(assigned, k - 2):
+                        child_required &= coset(combo + (x,))
+                assigned.append(x)
+                witness = dfs(depth + 1, child_forbidden, child_required)
+                assigned.pop()
             if witness is not None:
+                # The loop stops at x: count only the candidates up to x.
+                count(forbidden, required, (low << 1) - 1)
                 return witness
+        count(forbidden, required, everything)
         return None
 
-    return dfs(0)
+    # Depth 0 starts from the empty subset's coset {secret_vec}: forbidden
+    # for k >= 2, required for k = 1.
+    if prune and k == 1:
+        return dfs(0, 0, coset(()))
+    return dfs(0, coset(()) if prune else 0, everything)
 
 
 def search_linear_schemes(

@@ -1,9 +1,10 @@
 """Command-line front end: encode states, emit reports, run verifications.
 
 Exit codes: 0 success, 1 domain error (bad values, malformed files,
-states outside the code space), 2 verification failure (a failed
---expect check or any internal RuntimeError). All numeric table/csv
-output carries 15 significant digits; JSON uses exact round-trip floats.
+states outside the code space, an unwritable --out path), 2 verification
+failure (a failed --expect check or any internal RuntimeError). All
+numeric table/csv output carries 15 significant digits; JSON uses exact
+round-trip floats.
 """
 
 from __future__ import annotations
@@ -71,8 +72,11 @@ def _dump_json(doc: dict) -> str:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

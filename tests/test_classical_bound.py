@@ -10,8 +10,10 @@ import itertools
 
 import pytest
 
+from qsslab import classical_bound, cli
 from qsslab.classical_bound import (
     LinearScheme,
+    SearchReport,
     SubsetStatus,
     ThresholdParams,
     check_bound,
@@ -42,6 +44,90 @@ def share_distributions(scheme: LinearScheme, members: tuple[int, ...]):
             rows.append(tuple(shares[i - 1] for i in members))
         out.append(tuple(sorted(rows)))
     return out[0], out[1]
+
+
+def reference_search(n: int, k: int, m_max: int, prune: bool) -> SearchReport:
+    """Per-candidate depth-first search: the oracle for the bitmask search.
+
+    Every node rebuilds its constraints as sets from all subsets of the
+    assigned shares and tests each candidate for membership, in order.
+    """
+    counts = dict.fromkeys(("assignments", "schemes", "small", "large"), 0)
+
+    def search(m: int):
+        secret_vec = 1 << m
+        assigned: list[int] = []
+
+        def cosets(size: int) -> list[set[int]]:
+            out = []
+            for combo in itertools.combinations(assigned, size):
+                span = {0}
+                for v in combo:
+                    span |= {v ^ w for w in span}
+                out.append({secret_vec ^ w for w in span})
+            return out
+
+        def dfs(depth: int):
+            forbidden: set[int] = set()
+            required = None
+            if prune and k >= 2:
+                forbidden = set().union(*cosets(min(depth, k - 2)))
+            if prune and depth >= k - 1:
+                required = set.intersection(*cosets(k - 1))
+            for x in range(1 << (m + 1)):
+                counts["assignments"] += 1
+                if x in forbidden:
+                    counts["small"] += 1
+                    continue
+                if required is not None and x not in required:
+                    counts["large"] += 1
+                    continue
+                assigned.append(x)
+                witness = None
+                if depth == n - 1:
+                    counts["schemes"] += 1
+                    vectors = tuple(
+                        tuple((v >> (m - c)) & 1 for c in range(m + 1)) for v in assigned
+                    )
+                    scheme = LinearScheme(n=n, m=m, vectors=vectors)
+                    if realizes_threshold(scheme, k):
+                        witness = scheme
+                else:
+                    witness = dfs(depth + 1)
+                assigned.pop()
+                if witness is not None:
+                    return witness
+            return None
+
+        return dfs(0)
+
+    witness = None
+    for m in range(m_max + 1):
+        witness = search(m)
+        if witness is not None:
+            break
+    return SearchReport(
+        n=n,
+        k=k,
+        m_max=m_max,
+        pruned=prune,
+        found=witness is not None,
+        witness=witness,
+        assignments_tried=counts["assignments"],
+        schemes_completed=counts["schemes"],
+        pruned_small_qualified=counts["small"],
+        pruned_large_unqualified=counts["large"],
+    )
+
+
+ORACLE_CASES = [
+    (n, k, m, prune)
+    for n in (1, 2, 3, 4)
+    for k in range(1, n + 1)
+    for m in range(4)
+    for prune in (True, False)
+    if (2 ** (m + 1)) ** n <= 5000
+] + [(5, k, m, True) for k in (2, 3) for m in range(4)]
 
 
 class TestGF2:
@@ -206,6 +292,15 @@ class TestSearch:
             (4, 2, 3, True, (False, None, 620, 0, 52, 520)),
             (3, 2, 2, False, (False, None, 682, 584, 0, 0)),
             (4, 4, 2, True, (False, None, 2208, 0, 956, 963)),
+            # A witness ends the loop early: only candidates up to it count.
+            (
+                4, 4, 4, True,
+                (True, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 1, 1, 1)), 6410, 1, 1874, 3982),
+            ),
+            (3, 3, 2, False, (True, ((0, 0, 1), (0, 1, 0), (1, 1, 1)), 199, 160, 0, 0)),
+            (2, 2, 2, True, (True, ((0, 1), (1, 1)), 14, 1, 4, 6)),
+            # The paper's case: no linear (3,5) scheme with 1-bit shares.
+            (5, 3, 5, True, (False, None, 556890, 0, 34194, 512724)),
         ],
     )
     def test_report_fields_are_pinned(self, n, k, m_max, prune, expected):
@@ -224,3 +319,19 @@ class TestSearch:
         first = search_linear_schemes(3, 2, 1)
         second = search_linear_schemes(3, 2, 1)
         assert first == second
+
+    @pytest.mark.parametrize("n, k, m_max, prune", ORACLE_CASES)
+    def test_matches_per_candidate_oracle(self, n, k, m_max, prune):
+        assert search_linear_schemes(n, k, m_max, prune=prune) == reference_search(
+            n, k, m_max, prune
+        )
+
+    def test_inconsistent_pruned_leaf_raises(self, monkeypatch, capsys):
+        monkeypatch.setattr(classical_bound, "realizes_threshold", lambda scheme, k: False)
+        with pytest.raises(RuntimeError, match="inconsistent leaf"):
+            search_linear_schemes(2, 2, 2)
+        assert cli.main(["search-classical", "--n", "2", "--k", "2", "--max-rand", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification failure:")
+        assert captured.err.count("\n") == 1

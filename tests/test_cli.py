@@ -65,6 +65,13 @@ class TestEncodeCommand:
         assert run("encode", "--secret", "0", "--alpha0", "1", "--alpha1", "0") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_out_path_fails(self, tmp_path, capsys):
+        assert run("encode", "--secret", "0", "--out", str(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {tmp_path}:")
+        assert captured.err.count("\n") == 1
+
     def test_missing_inputs_fail(self):
         assert run("encode") == 1
 
@@ -248,3 +255,14 @@ class TestSearchCommand:
     def test_bad_parameters_fail(self, capsys):
         assert run("search-classical", "--n", "7", "--k", "2") == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_out_path_in_missing_directory_fails(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.txt"
+        assert run(
+            "search-classical", "--n", "2", "--k", "2", "--max-rand", "2", "--out", str(out),
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}:")
+        assert captured.err.count("\n") == 1
+        assert not out.parent.exists()
