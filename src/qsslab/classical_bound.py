@@ -111,18 +111,6 @@ class LinearScheme:
             if len(vec) != 1 + self.m or set(vec) - {0, 1}:
                 raise ValueError(f"bad GF(2) vector {vec!r} for m={self.m}")
 
-    def shares(self, s: int, randomness: Sequence[int]) -> tuple[int, ...]:
-        """Evaluate all share bits for secret ``s`` and randomness ``r``."""
-        if s not in (0, 1) or len(randomness) != self.m:
-            raise ValueError("need a secret bit and m randomness bits")
-        out = []
-        for vec in self.vectors:
-            bit = vec[0] * s
-            for b, r in zip(vec[1:], randomness):
-                bit ^= b & r
-            out.append(bit)
-        return tuple(out)
-
 
 def scheme_subset_status(scheme: LinearScheme, members: Iterable[int]) -> SubsetStatus:
     """Qualified/Unqualified status of a share subset of a linear scheme.
@@ -137,21 +125,25 @@ def scheme_subset_status(scheme: LinearScheme, members: Iterable[int]) -> Subset
         raise ValueError(f"duplicate members in {subset}")
     if subset and (subset[0] < 1 or subset[-1] > scheme.n):
         raise ValueError(f"members must lie in 1..{scheme.n}, got {subset}")
-    vectors = [scheme.vectors[i - 1] for i in subset]
-    rows = [sum(bit << (scheme.m - c) for c, bit in enumerate(vec)) for vec in vectors]
-    if gf2_in_span(1 << scheme.m, rows):
+    rows = _rows(scheme)
+    if gf2_in_span(1 << scheme.m, [rows[i - 1] for i in subset]):
         return SubsetStatus.QUALIFIED
     return SubsetStatus.UNQUALIFIED
 
 
 def realizes_threshold(scheme: LinearScheme, k: int) -> bool:
     """True when qualified subsets are exactly those of size >= k."""
-    for size in range(1, scheme.n + 1):
-        for combo in itertools.combinations(range(1, scheme.n + 1), size):
-            qualified = scheme_subset_status(scheme, combo) is SubsetStatus.QUALIFIED
-            if qualified != (size >= k):
-                return False
-    return True
+    rows = _rows(scheme)
+    return all(
+        gf2_in_span(1 << scheme.m, combo) == (size >= k)
+        for size in range(1, scheme.n + 1)
+        for combo in itertools.combinations(rows, size)
+    )
+
+
+def _rows(scheme: LinearScheme) -> list[int]:
+    # Each share vector (a | b_1..b_m) as a bitmask int with a as the top bit.
+    return [sum(bit << (scheme.m - c) for c, bit in enumerate(vec)) for vec in scheme.vectors]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """The five-qubit [[5,1,3]] code: code words, Pauli action, distance check.
 
-The two code words are stored as explicit 16-term amplitude tables in the
-computational basis (textbook sign convention, normalization 1/4). The
-tables are the single source of truth for encoding; nothing here derives
-them from stabilizer generators.
+The code is the stabilizer code of the cyclic shifts of XZZXI (Laflamme
+et al. 1996; Gottesman, arXiv quant-ph/9705052). Its two code words are
+derived from those generators and the logical operators ZZZZZ and XXXXX
+by projection; each is 16 terms of +-1/4 in the computational basis.
 """
 
 from __future__ import annotations
@@ -17,68 +17,30 @@ import numpy as np
 
 from .quantum_core import NORM_ATOL, VERDICT_ATOL, PureState
 
-#: (bit string, sign) terms of the code word for classical bit 0.
-WORD_TERMS_0: tuple[tuple[str, int], ...] = (
-    ("00000", +1), ("10010", +1), ("01001", +1), ("10100", +1),
-    ("01010", +1), ("11011", -1), ("00110", -1), ("11000", -1),
-    ("11101", -1), ("00011", -1), ("11110", -1), ("01111", -1),
-    ("10001", -1), ("01100", -1), ("10111", -1), ("00101", +1),
-)
-
-#: (bit string, sign) terms of the code word for classical bit 1.
-WORD_TERMS_1: tuple[tuple[str, int], ...] = (
-    ("11111", +1), ("01101", +1), ("10110", +1), ("01011", +1),
-    ("10101", +1), ("00100", -1), ("11001", -1), ("00111", -1),
-    ("00010", -1), ("11100", -1), ("00001", -1), ("10000", -1),
-    ("01110", -1), ("10011", -1), ("01000", -1), ("11010", +1),
-)
-
-
-@dataclass(frozen=True)
-class CodeTable:
-    """Amplitude tables of the two code words.
-
-    Each table holds exactly 16 distinct 5-bit strings with signs, and the
-    two supports are disjoint, which makes the code words orthogonal.
-    """
-
-    terms_0: tuple[tuple[str, int], ...] = WORD_TERMS_0
-    terms_1: tuple[tuple[str, int], ...] = WORD_TERMS_1
-    normalization: float = 0.25
-
-    def __post_init__(self) -> None:
-        for name, terms in (("terms_0", self.terms_0), ("terms_1", self.terms_1)):
-            if len(terms) != 16:
-                raise ValueError(f"{name} must have 16 terms, got {len(terms)}")
-            for bits, sign in terms:
-                if len(bits) != 5 or set(bits) - {"0", "1"}:
-                    raise ValueError(f"bad bit string {bits!r} in {name}")
-                if sign not in (-1, 1):
-                    raise ValueError(f"bad sign {sign!r} in {name}")
-            if len({bits for bits, _ in terms}) != 16:
-                raise ValueError(f"duplicate bit strings in {name}")
-        support_0 = {bits for bits, _ in self.terms_0}
-        support_1 = {bits for bits, _ in self.terms_1}
-        if support_0 & support_1:
-            raise ValueError("code word supports must be disjoint")
-
-    def amplitudes(self, s: int) -> np.ndarray:
-        terms = self.terms_0 if s == 0 else self.terms_1
-        amps = np.zeros(32, dtype=complex)
-        for bits, sign in terms:
-            amps[int(bits, 2)] = sign * self.normalization
-        return amps
-
-
-CODE_TABLE = CodeTable()
+#: Generators of the stabilizer group: the cyclic shifts of XZZXI.
+STABILIZERS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
+#: Logical Z (fixes w0, negates w1) and logical X (maps w0 to w1).
+LOGICAL_Z = "ZZZZZ"
+LOGICAL_X = "XXXXX"
 
 
 @functools.lru_cache(maxsize=2)
 def encode_classical(s: int) -> PureState:
-    """Five-qubit code word carrying the classical bit ``s``."""
+    """Five-qubit code word carrying the classical bit ``s``.
+
+    w0 is |00000> projected by (1 + g)/2 for every stabilizer generator g
+    and for the logical Z, then normalized; w1 = XXXXX w0. Every step is
+    exact in binary, so the amplitudes are exactly +-1/4 or 0.
+    """
     if s not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {s!r}")
-    return PureState(5, CODE_TABLE.amplitudes(s))
+    if s == 1:
+        return PureState(5, _pauli_action([LOGICAL_X], encode_classical(0).amplitudes)[0])
+    word = np.zeros(32, dtype=complex)
+    word[0] = 1.0
+    for g in STABILIZERS + (LOGICAL_Z,):
+        word = (word + _pauli_action([g], word)[0]) / 2
+    return PureState(5, word / np.linalg.norm(word))
 
 
 @dataclass(frozen=True)
@@ -112,21 +74,6 @@ def encode_quantum(secret: QubitSecret) -> PureState:
     return PureState(5, amps)
 
 
-@dataclass(frozen=True)
-class PauliOperator:
-    """Tensor product of single-qubit Paulis, e.g. "XIYZI"."""
-
-    letters: str
-
-    def __post_init__(self) -> None:
-        if set(self.letters) - set("IXYZ"):
-            raise ValueError(f"letters must be over IXYZ, got {self.letters!r}")
-
-    @property
-    def weight(self) -> int:
-        return sum(1 for c in self.letters if c != "I")
-
-
 #: i^k for k = 0..3, exact (1j ** 2 is not exactly -1 in floating point).
 _I_POWERS = np.array([1, 1j, -1, -1j])
 #: Parity of the set bits of every index of a state of at most five qubits.
@@ -152,19 +99,6 @@ def _pauli_action(ops: Sequence[str], amplitudes: np.ndarray) -> np.ndarray:
     out *= 1 - 2 * _PARITY[source & z[:, None]]
     out *= _I_POWERS[is_y.sum(axis=1) % 4][:, None]
     return out
-
-
-def apply_pauli(op: PauliOperator, psi: PureState) -> PureState:
-    """Apply a Pauli string to a state (Y = iXZ convention).
-
-    X flips the bit at its position, Z multiplies by (-1)^bit, and the
-    norm is preserved exactly.
-    """
-    if len(op.letters) != psi.num_qubits:
-        raise ValueError(
-            f"operator acts on {len(op.letters)} qubits, state has {psi.num_qubits}"
-        )
-    return PureState(psi.num_qubits, _pauli_action([op.letters], psi.amplitudes)[0])
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,24 @@ def random_scheme(rng, n: int, m: int) -> LinearScheme:
     return LinearScheme(n=n, m=m, vectors=vectors)
 
 
+def evaluate_shares(scheme: LinearScheme, s: int, randomness) -> tuple[int, ...]:
+    """Every share bit a_i * s + <b_i, r> for secret ``s`` and randomness ``r``."""
+    out = []
+    for vec in scheme.vectors:
+        bit = vec[0] & s
+        for b, r in zip(vec[1:], randomness):
+            bit ^= b & r
+        out.append(bit)
+    return tuple(out)
+
+
 def share_distributions(scheme: LinearScheme, members: tuple[int, ...]):
     """Multisets of subset share-vectors for s=0 and s=1, over all r."""
     out = []
     for s in (0, 1):
         rows = []
         for bits in itertools.product((0, 1), repeat=scheme.m):
-            shares = scheme.shares(s, bits)
+            shares = evaluate_shares(scheme, s, bits)
             rows.append(tuple(shares[i - 1] for i in members))
         out.append(tuple(sorted(rows)))
     return out[0], out[1]
@@ -178,12 +189,8 @@ class TestLinearScheme:
     def test_xor_scheme_reconstructs_analytically(self):
         for s in (0, 1):
             for r in ((0,), (1,)):
-                share1, share2 = XOR_SCHEME.shares(s, r)
+                share1, share2 = evaluate_shares(XOR_SCHEME, s, r)
                 assert share1 ^ share2 == s
-
-    def test_share_evaluation_validates_inputs(self):
-        with pytest.raises(ValueError, match="randomness"):
-            XOR_SCHEME.shares(0, (0, 1))
 
 
 class TestSubsetStatus:
@@ -234,6 +241,24 @@ class TestSubsetStatus:
                 for extra in set((1, 2, 3, 4)) - set(members):
                     superset = tuple(sorted(members + (extra,)))
                     assert superset in qualified
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 2)])
+    def test_realizes_threshold_matches_distribution_oracle(self, n, m):
+        # Every scheme of this shape, so thresholds that hold occur too.
+        realized = 0
+        for flat in itertools.product((0, 1), repeat=n * (1 + m)):
+            vectors = tuple(tuple(flat[i * (1 + m) : (i + 1) * (1 + m)]) for i in range(n))
+            scheme = LinearScheme(n=n, m=m, vectors=vectors)
+            qualified = {
+                members: len(set(share_distributions(scheme, members))) == 2
+                for size in range(1, n + 1)
+                for members in itertools.combinations(range(1, n + 1), size)
+            }
+            for k in range(1, n + 1):
+                expected = all(q == (len(members) >= k) for members, q in qualified.items())
+                assert realizes_threshold(scheme, k) == expected
+                realized += expected
+        assert realized > 0
 
 
 class TestSearch:

@@ -1,8 +1,9 @@
-"""Tests for the five-qubit code: tables, encoding, Pauli action, distance.
+"""Tests for the five-qubit code: code words, encoding, Pauli action, distance.
 
-Pauli operators are cross-checked against explicit 32x32 matrices built
-with np.kron, an entirely separate route from the bit-twiddling
-implementation.
+The code words derived from the stabilizer generators are checked against
+the textbook amplitude tables below. Pauli operators are cross-checked
+against explicit 32x32 matrices built with np.kron, an entirely separate
+route from the bit-twiddling kernel.
 """
 
 import itertools
@@ -11,18 +12,30 @@ import numpy as np
 import pytest
 
 from qsslab.code5 import (
-    CODE_TABLE,
-    CodeTable,
-    PauliOperator,
     QubitSecret,
-    WORD_TERMS_0,
-    WORD_TERMS_1,
-    apply_pauli,
+    _pauli_action,
     encode_classical,
     encode_quantum,
     verify_distance,
 )
 from qsslab.quantum_core import PureState, all_nonempty_subsets, reduced_state
+
+#: Textbook (bit string, sign) terms of the code words for bits 0 and 1,
+#: each with amplitude sign/4.
+WORD_TERMS = (
+    (
+        ("00000", +1), ("10010", +1), ("01001", +1), ("10100", +1),
+        ("01010", +1), ("11011", -1), ("00110", -1), ("11000", -1),
+        ("11101", -1), ("00011", -1), ("11110", -1), ("01111", -1),
+        ("10001", -1), ("01100", -1), ("10111", -1), ("00101", +1),
+    ),
+    (
+        ("11111", +1), ("01101", +1), ("10110", +1), ("01011", +1),
+        ("10101", +1), ("00100", -1), ("11001", -1), ("00111", -1),
+        ("00010", -1), ("11100", -1), ("00001", -1), ("10000", -1),
+        ("01110", -1), ("10011", -1), ("01000", -1), ("11010", +1),
+    ),
+)
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -39,6 +52,17 @@ def pauli_matrix(letters: str) -> np.ndarray:
     return out
 
 
+def table_word(s: int) -> np.ndarray:
+    amps = np.zeros(32, dtype=complex)
+    for bits, sign in WORD_TERMS[s]:
+        amps[int(bits, 2)] = sign * 0.25
+    return amps
+
+
+def act(letters: str, amplitudes: np.ndarray) -> np.ndarray:
+    return _pauli_action([letters], amplitudes)[0]
+
+
 def random_state(rng: np.random.Generator, num_qubits: int = 5) -> PureState:
     amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
     return PureState(num_qubits, amps / np.linalg.norm(amps))
@@ -50,39 +74,33 @@ def random_secret(rng: np.random.Generator) -> QubitSecret:
     return QubitSecret(a[0], a[1])
 
 
-class TestCodeTable:
-    def test_default_table_is_valid(self):
-        assert len(CODE_TABLE.terms_0) == 16
-        assert len(CODE_TABLE.terms_1) == 16
+class TestDerivedWords:
+    """The words derived from the generators against the textbook tables."""
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_bit_identical_to_table(self, s):
+        # tobytes() also tells -0.0 from 0.0, which array equality does not.
+        assert encode_classical(s).amplitudes.tobytes() == table_word(s).tobytes()
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_sixteen_terms_of_plus_minus_quarter(self, s):
+        amps = encode_classical(s).amplitudes
+        terms = amps[amps != 0]
+        assert terms.size == 16
+        assert set(terms.tolist()) <= {0.25, -0.25}
 
     def test_supports_are_disjoint(self):
-        support_0 = {bits for bits, _ in WORD_TERMS_0}
-        support_1 = {bits for bits, _ in WORD_TERMS_1}
-        assert len(support_0) == 16
-        assert len(support_1) == 16
-        assert not support_0 & support_1
-
-    def test_rejects_short_table(self):
-        with pytest.raises(ValueError, match="16 terms"):
-            CodeTable(terms_0=WORD_TERMS_0[:15], terms_1=WORD_TERMS_1)
-
-    def test_rejects_overlapping_supports(self):
-        tampered = (("00000", +1),) + WORD_TERMS_1[1:]
-        with pytest.raises(ValueError, match="disjoint"):
-            CodeTable(terms_0=WORD_TERMS_0, terms_1=tampered)
-
-    def test_rejects_bad_sign(self):
-        tampered = (("00000", 2),) + WORD_TERMS_0[1:]
-        with pytest.raises(ValueError, match="sign"):
-            CodeTable(terms_0=tampered, terms_1=WORD_TERMS_1)
+        w0, w1 = encode_classical(0).amplitudes, encode_classical(1).amplitudes
+        assert not np.any((w0 != 0) & (w1 != 0))
 
 
 class TestCodeWordsAgainstStabilizers:
-    """The hard-coded tables against the code's defining operators.
+    """The code words against the code's defining operators.
 
     The stabilizer group of the five-qubit code is generated by the cyclic
     shifts of XZZXI (Laflamme et al. 1996); ZZZZZ and XXXXX act as the
-    logical Z and X. The operators are built with np.kron, not apply_pauli.
+    logical Z and X. The operators are built with np.kron, not with the
+    kernel that derives the words.
     """
 
     @pytest.mark.parametrize("generator", ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
@@ -115,13 +133,6 @@ class TestEncodeClassical:
     def test_absent_string_has_zero_amplitude(self):
         amps = encode_classical(0).amplitudes
         assert amps[int("11111", 2)] == 0.0
-
-    def test_words_are_sixteen_terms_of_quarter_modulus(self):
-        for s in (0, 1):
-            amps = encode_classical(s).amplitudes
-            nonzero = np.abs(amps) > 0
-            assert nonzero.sum() == 16
-            np.testing.assert_allclose(np.abs(amps[nonzero]), 0.25, atol=1e-15)
 
     def test_exact_norms_and_orthogonality(self):
         w0, w1 = encode_classical(0), encode_classical(1)
@@ -186,46 +197,26 @@ class TestEncodeQuantum:
                 np.testing.assert_allclose(turned.matrix, base.matrix, atol=1e-12)
 
 
-class TestApplyPauli:
+class TestPauliAction:
     def test_identity(self):
         psi = encode_classical(0)
-        np.testing.assert_allclose(
-            apply_pauli(PauliOperator("IIIII"), psi).amplitudes,
-            psi.amplitudes,
-            atol=1e-15,
-        )
+        np.testing.assert_allclose(act("IIIII", psi.amplitudes), psi.amplitudes, atol=1e-15)
 
     def test_single_bit_flip(self):
-        zero = np.zeros(32)
+        zero = np.zeros(32, dtype=complex)
         zero[0] = 1.0
-        flipped = apply_pauli(PauliOperator("XIIII"), PureState(5, zero))
-        assert flipped.amplitudes[int("10000", 2)] == pytest.approx(1.0)
+        assert act("XIIII", zero)[int("10000", 2)] == pytest.approx(1.0)
 
     def test_phase_on_one(self):
-        amps = np.zeros(32)
+        amps = np.zeros(32, dtype=complex)
         amps[int("10000", 2)] = 1.0
-        signed = apply_pauli(PauliOperator("ZIIII"), PureState(5, amps))
-        assert signed.amplitudes[int("10000", 2)] == pytest.approx(-1.0)
+        assert act("ZIIII", amps)[int("10000", 2)] == pytest.approx(-1.0)
 
     def test_y_convention_on_single_qubit(self):
-        up = PureState(1, np.array([1.0, 0.0]))
-        down = PureState(1, np.array([0.0, 1.0]))
-        np.testing.assert_allclose(
-            apply_pauli(PauliOperator("Y"), up).amplitudes, [0.0, 1j], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            apply_pauli(PauliOperator("Y"), down).amplitudes, [-1j, 0.0], atol=1e-15
-        )
-
-    def test_weight_counts(self):
-        assert PauliOperator("IIIII").weight == 0
-        assert PauliOperator("XIYZI").weight == 3
-
-    def test_rejects_bad_letters_and_length(self):
-        with pytest.raises(ValueError, match="IXYZ"):
-            PauliOperator("ABCDE")
-        with pytest.raises(ValueError, match="qubits"):
-            apply_pauli(PauliOperator("XI"), encode_classical(0))
+        up = np.array([1.0, 0.0], dtype=complex)
+        down = np.array([0.0, 1.0], dtype=complex)
+        np.testing.assert_allclose(act("Y", up), [0.0, 1j], atol=1e-15)
+        np.testing.assert_allclose(act("Y", down), [-1j, 0.0], atol=1e-15)
 
     def test_matches_kron_matrices_at_weight_one(self):
         rng = np.random.default_rng(29)
@@ -234,39 +225,31 @@ class TestApplyPauli:
             for letter in "XYZ":
                 letters = "".join(letter if i == pos else "I" for i in range(5))
                 expected = pauli_matrix(letters) @ psi.amplitudes
-                np.testing.assert_allclose(
-                    apply_pauli(PauliOperator(letters), psi).amplitudes,
-                    expected,
-                    atol=1e-12,
-                )
+                np.testing.assert_allclose(act(letters, psi.amplitudes), expected, atol=1e-12)
 
     def test_matches_kron_matrices_at_higher_weights(self):
+        # All 40 operators in one call, one output row each, as the scan uses it.
         rng = np.random.default_rng(37)
         psi = random_state(rng)
         letters_pool = list(itertools.product("IXYZ", repeat=5))
-        for _ in range(40):
-            letters = "".join(letters_pool[rng.integers(len(letters_pool))])
-            expected = pauli_matrix(letters) @ psi.amplitudes
-            np.testing.assert_allclose(
-                apply_pauli(PauliOperator(letters), psi).amplitudes,
-                expected,
-                atol=1e-12,
-            )
+        ops = ["".join(letters_pool[rng.integers(len(letters_pool))]) for _ in range(40)]
+        rows = _pauli_action(ops, psi.amplitudes)
+        for letters, row in zip(ops, rows):
+            np.testing.assert_allclose(row, pauli_matrix(letters) @ psi.amplitudes, atol=1e-12)
 
     def test_xz_operators_are_involutions(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
             letters = "".join(rng.choice(list("IXZ")) for _ in range(5))
             psi = random_state(rng)
-            op = PauliOperator(letters)
-            twice = apply_pauli(op, apply_pauli(op, psi))
-            np.testing.assert_allclose(twice.amplitudes, psi.amplitudes, atol=1e-12)
+            twice = act(letters, act(letters, psi.amplitudes))
+            np.testing.assert_allclose(twice, psi.amplitudes, atol=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(47)
         psi = random_state(rng)
-        out = apply_pauli(PauliOperator("XYZXY"), psi)
-        assert np.vdot(out.amplitudes, out.amplitudes).real == pytest.approx(1.0, abs=1e-12)
+        out = act("XYZXY", psi.amplitudes)
+        assert np.vdot(out, out).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestVerifyDistance:
