@@ -133,10 +133,14 @@ def scheme_subset_status(scheme: LinearScheme, members: Iterable[int]) -> Subset
 
 def realizes_threshold(scheme: LinearScheme, k: int) -> bool:
     """True when qualified subsets are exactly those of size >= k."""
-    rows = _rows(scheme)
+    return _threshold_rows(_rows(scheme), scheme.m, k)
+
+
+def _threshold_rows(rows: Sequence[int], m: int, k: int) -> bool:
+    # realizes_threshold on the (a | b) row ints of _rows, a the top bit.
     return all(
-        gf2_in_span(1 << scheme.m, combo) == (size >= k)
-        for size in range(1, scheme.n + 1)
+        gf2_in_span(1 << m, combo) == (size >= k)
+        for size in range(1, len(rows) + 1)
         for combo in itertools.combinations(rows, size)
     )
 
@@ -181,9 +185,10 @@ class _Counters:
         self.large = 0
 
 
-def _vector_from_int(x: int, m: int) -> tuple[int, ...]:
-    # Tuple (a, b_1..b_m) in lexicographic order as x runs 0..2^(m+1)-1.
-    return tuple((x >> (m - c)) & 1 for c in range(m + 1))
+def _scheme_from_rows(rows: Sequence[int], m: int) -> LinearScheme:
+    # Inverse of _rows: row x is the vector (a, b_1..b_m), lexicographic in x.
+    vectors = tuple(tuple((x >> (m - c)) & 1 for c in range(m + 1)) for x in rows)
+    return LinearScheme(n=len(rows), m=m, vectors=vectors)
 
 
 def _search_fixed_m(
@@ -220,15 +225,16 @@ def _search_fixed_m(
             x = low.bit_length() - 1
             if depth == n - 1:
                 counters.schemes += 1
-                witness: Optional[LinearScheme] = LinearScheme(
-                    n=n, m=m, vectors=tuple(_vector_from_int(v, m) for v in assigned + [x])
-                )
-                if not realizes_threshold(witness, k):
-                    if prune:
-                        # Incremental constraints guarantee threshold structure
-                        # at a pruned-mode leaf; disagreement is a bug.
-                        raise RuntimeError(f"pruned search reached inconsistent leaf {witness}")
-                    witness = None
+                rows = assigned + [x]
+                witness: Optional[LinearScheme] = None
+                if _threshold_rows(rows, m, k):
+                    witness = _scheme_from_rows(rows, m)
+                elif prune:
+                    # Incremental constraints guarantee threshold structure
+                    # at a pruned-mode leaf; disagreement is a bug.
+                    raise RuntimeError(
+                        f"pruned search reached inconsistent leaf {_scheme_from_rows(rows, m)}"
+                    )
             else:
                 child_forbidden, child_required = forbidden, required
                 if prune and k >= 3:

@@ -15,6 +15,7 @@ so states and matrices can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -84,8 +85,11 @@ class PureState:
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix on qubits.
 
-    Validation runs the eigensolver once; the spectrum and eigenbasis are
-    kept on the instance so entropy and support projections are free.
+    Validation checks positivity with LAPACK's ``eigvalsh``. The spectrum
+    and eigenbasis that entropy and support projections read come from
+    ``hermitian_eig``, run once per instance on first use and kept. Filling
+    them is deterministic, so instances stay safe to share across threads:
+    a race at worst computes the same read-only arrays twice.
     """
 
     matrix: np.ndarray
@@ -97,31 +101,36 @@ class DensityMatrix:
         dim = m.shape[0]
         if dim & (dim - 1) or dim == 0:
             raise ValueError(f"dimension must be a power of 2, got {dim}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > NORM_ATOL:
             raise ValueError("matrix is not Hermitian within 1e-12")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > NORM_ATOL:
             raise ValueError(f"trace must be 1, got {tr!r}")
-        values, vectors = hermitian_eig(m)
-        if values[-1] < -PSD_ATOL:
-            raise ValueError(f"matrix is not PSD: min eigenvalue {values[-1]!r}")
+        lowest = np.linalg.eigvalsh(m)[0]
+        if lowest < -PSD_ATOL:
+            raise ValueError(f"matrix is not PSD: min eigenvalue {lowest!r}")
         object.__setattr__(self, "matrix", _readonly(m))
-        object.__setattr__(self, "_eigenvalues", _readonly(values))
-        object.__setattr__(self, "_eigenvectors", _readonly(vectors))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        values, vectors = hermitian_eig(self.matrix)
+        return _readonly(values), _readonly(vectors)
+
     @property
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum in descending order."""
-        return self._eigenvalues  # type: ignore[attr-defined]
+        return self._spectrum[0]
 
     @property
     def eigenvectors(self) -> np.ndarray:
         """Orthonormal eigenvectors, column k matching eigenvalues[k]."""
-        return self._eigenvectors  # type: ignore[attr-defined]
+        return self._spectrum[1]
 
     def support_projector(self) -> np.ndarray:
         """Projector onto the span of eigenvectors with eigenvalue > PSD_ATOL."""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsslab.access_analysis import (
     Classification,
@@ -308,3 +310,27 @@ class TestCodewordReductions:
     def test_mixture_is_a_valid_state(self):
         rho0, rho1 = codeword_reductions([1, 2, 3])
         DensityMatrix(0.5 * rho0.matrix + 0.5 * rho1.matrix)
+
+
+unit_interval = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+class TestRandomSecretProperties:
+    """Recovery and secrecy for arbitrary finite qubit secrets."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(unit_interval, unit_interval, unit_interval, unit_interval)
+    def test_recovery_and_secrecy(self, re0, im0, re1, im1):
+        amps = np.array([complex(re0, im0), complex(re1, im1)])
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-6)
+        secret = QubitSecret(*(amps / norm))
+        psi = encode_quantum(secret)
+        for subset in all_nonempty_subsets(5):
+            state = reduced_state(psi, subset)
+            if len(subset) >= 3:
+                fidelity = reconstruct_quantum(subset, state, secret).fidelity
+                assert abs(fidelity - 1.0) <= 1e-9
+            else:
+                rho0 = codeword_reductions(subset)[0]
+                assert np.max(np.abs(state.matrix - rho0.matrix)) <= 1e-12

@@ -352,7 +352,7 @@ class TestSearch:
         )
 
     def test_inconsistent_pruned_leaf_raises(self, monkeypatch, capsys):
-        monkeypatch.setattr(classical_bound, "realizes_threshold", lambda scheme, k: False)
+        monkeypatch.setattr(classical_bound, "_threshold_rows", lambda rows, m, k: False)
         with pytest.raises(RuntimeError, match="inconsistent leaf"):
             search_linear_schemes(2, 2, 2)
         assert cli.main(["search-classical", "--n", "2", "--k", "2", "--max-rand", "2"]) == 2

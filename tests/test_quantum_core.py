@@ -5,11 +5,14 @@ eigensolver is cross-checked against numpy's LAPACK wrapper, so both
 sides of every comparison go through independent code paths.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from qsslab.code5 import encode_classical
 from qsslab.quantum_core import (
+    PSD_ATOL,
     DensityMatrix,
     PureState,
     all_nonempty_subsets,
@@ -105,9 +108,38 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="PSD"):
             DensityMatrix(np.diag([1.5, -0.5]))
 
-    def test_rejects_non_finite_entries(self):
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[np.nan, 0.0], [0.0, 0.5]],
+            [[np.inf, 0.0], [0.0, 0.5]],
+            [[0.5, complex(np.nan, np.nan)], [complex(np.nan, np.nan), 0.5]],
+        ],
+        ids=["nan", "inf", "off-diagonal-complex-nan"],
+    )
+    def test_rejects_non_finite_entries(self, matrix):
         with pytest.raises(ValueError, match="finite"):
-            DensityMatrix(np.array([[np.nan, 0.0], [0.0, 0.5]]))
+            DensityMatrix(np.array(matrix))
+
+    def test_psd_boundary(self):
+        # A rotated diagonal, so the spectrum is not read off the diagonal.
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        with pytest.raises(ValueError, match="PSD") as excinfo:
+            DensityMatrix(h @ np.diag([1 + 2 * PSD_ATOL, -2 * PSD_ATOL]) @ h)
+        lowest = float(re.findall(r"-\d[\d.]*e-\d+", str(excinfo.value))[-1])
+        assert lowest == pytest.approx(-2 * PSD_ATOL, rel=1e-4)
+        rho = DensityMatrix(h @ np.diag([1 + PSD_ATOL / 2, -PSD_ATOL / 2]) @ h)
+        assert rho.eigenvalues[-1] == pytest.approx(-PSD_ATOL / 2, rel=1e-4)
+
+    def test_spectrum_is_read_only_and_from_the_eigensolver(self):
+        rho = random_density(np.random.default_rng(5), 8)
+        values, vectors = hermitian_eig(rho.matrix)
+        assert rho.eigenvalues.tobytes() == values.tobytes()
+        assert rho.eigenvectors.tobytes() == vectors.tobytes()
+        with pytest.raises(ValueError):
+            rho.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            rho.eigenvectors[0, 0] = 0.0
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of 2"):
