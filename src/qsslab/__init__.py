@@ -1,95 +1,68 @@
-"""Numerical laboratory for (3,5) quantum secret sharing on the five-qubit code."""
+"""Numerical laboratory for (3,5) quantum secret sharing on the five-qubit code.
 
-from .quantum_core import (
-    DensityMatrix,
-    PureState,
-    all_nonempty_subsets,
-    hermitian_eig,
-    reduced_state,
-    share_subset,
-    trace_distance,
-    trace_norm,
-    von_neumann_entropy,
-)
-from .code5 import (
-    DistanceReport,
-    QubitSecret,
-    encode_classical,
-    encode_quantum,
-    verify_distance,
-)
-from .access_analysis import (
-    AccessReport,
-    Classification,
-    ClassicalReconstruction,
-    IndeterminateClassificationError,
-    QuantumReconstruction,
-    SecretPrior,
-    SubsetVerdict,
-    UNIFORM_PRIOR,
-    UnqualifiedSubsetError,
-    access_structure_report,
-    classify_subset,
-    codeword_reductions,
-    holevo_information,
-    reconstruct_classical,
-    reconstruct_quantum,
-)
-from .classical_bound import (
-    BoundReport,
-    LinearScheme,
-    SearchReport,
-    SubsetStatus,
-    ThresholdParams,
-    check_bound,
-    gf2_in_span,
-    gf2_rank,
-    realizes_threshold,
-    scheme_subset_status,
-    search_linear_schemes,
-)
+Public names are imported from their defining module on first access
+(PEP 562), so ``import qsslab`` alone does not import numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccessReport",
-    "BoundReport",
-    "Classification",
-    "ClassicalReconstruction",
-    "DensityMatrix",
-    "DistanceReport",
-    "IndeterminateClassificationError",
-    "LinearScheme",
-    "PureState",
-    "QuantumReconstruction",
-    "QubitSecret",
-    "SearchReport",
-    "SecretPrior",
-    "SubsetStatus",
-    "SubsetVerdict",
-    "ThresholdParams",
-    "UNIFORM_PRIOR",
-    "UnqualifiedSubsetError",
-    "access_structure_report",
-    "all_nonempty_subsets",
-    "check_bound",
-    "classify_subset",
-    "codeword_reductions",
-    "encode_classical",
-    "encode_quantum",
-    "gf2_in_span",
-    "gf2_rank",
-    "hermitian_eig",
-    "holevo_information",
-    "realizes_threshold",
-    "reconstruct_classical",
-    "reconstruct_quantum",
-    "reduced_state",
-    "scheme_subset_status",
-    "search_linear_schemes",
-    "share_subset",
-    "trace_distance",
-    "trace_norm",
-    "verify_distance",
-    "von_neumann_entropy",
-]
+#: Defining module of every public name, in the order of ``__all__``.
+_MODULE_OF = {
+    "AccessReport": "access_analysis",
+    "BoundReport": "classical_bound",
+    "Classification": "access_analysis",
+    "ClassicalReconstruction": "access_analysis",
+    "DensityMatrix": "quantum_core",
+    "DistanceReport": "code5",
+    "IndeterminateClassificationError": "access_analysis",
+    "LinearScheme": "classical_bound",
+    "PureState": "quantum_core",
+    "QuantumReconstruction": "access_analysis",
+    "QubitSecret": "code5",
+    "SearchReport": "classical_bound",
+    "SecretPrior": "access_analysis",
+    "SubsetStatus": "classical_bound",
+    "SubsetVerdict": "access_analysis",
+    "ThresholdParams": "classical_bound",
+    "UNIFORM_PRIOR": "access_analysis",
+    "UnqualifiedSubsetError": "access_analysis",
+    "access_structure_report": "access_analysis",
+    "all_nonempty_subsets": "quantum_core",
+    "check_bound": "classical_bound",
+    "classify_subset": "access_analysis",
+    "codeword_reductions": "access_analysis",
+    "encode_classical": "code5",
+    "encode_quantum": "code5",
+    "gf2_in_span": "classical_bound",
+    "gf2_rank": "classical_bound",
+    "hermitian_eig": "quantum_core",
+    "holevo_information": "access_analysis",
+    "realizes_threshold": "classical_bound",
+    "reconstruct_classical": "access_analysis",
+    "reconstruct_quantum": "access_analysis",
+    "reduced_state": "quantum_core",
+    "scheme_subset_status": "classical_bound",
+    "search_linear_schemes": "classical_bound",
+    "share_subset": "quantum_core",
+    "trace_distance": "quantum_core",
+    "trace_norm": "quantum_core",
+    "verify_distance": "code5",
+    "von_neumann_entropy": "quantum_core",
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import ``name`` from its defining module and keep it as a package global."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

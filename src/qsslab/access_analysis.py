@@ -66,6 +66,9 @@ class SecretPrior:
             raise ValueError(f"probabilities must be nonnegative: {self}")
         if abs(self.q0 + self.q1 - 1.0) > NORM_ATOL:
             raise ValueError(f"probabilities must sum to 1: {self}")
+        # -0.0 + 0.0 == +0.0: a negative zero is stored, and printed, as 0.
+        object.__setattr__(self, "q0", self.q0 + 0.0)
+        object.__setattr__(self, "q1", self.q1 + 0.0)
 
     @classmethod
     def from_q0(cls, q0: float) -> "SecretPrior":

@@ -5,6 +5,10 @@ states outside the code space, an unwritable --out path), 2 verification
 failure (a failed --expect check or any internal RuntimeError). All
 numeric table/csv output carries 15 significant digits; JSON uses exact
 round-trip floats.
+
+The numeric modules, and with them numpy, are imported inside the
+subcommands that compute with them: ``search-classical`` and ``--help``
+run on the pure-Python GF(2) code alone.
 """
 
 from __future__ import annotations
@@ -13,19 +17,12 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
-from .access_analysis import (
-    SecretPrior,
-    access_structure_report,
-    reconstruct_classical,
-    reconstruct_quantum,
-)
-from .code5 import QubitSecret, encode_classical, encode_quantum, verify_distance
-from .quantum_core import VERDICT_ATOL, PureState, reduced_state, share_subset
 from .classical_bound import ThresholdParams, check_bound, search_linear_schemes
+
+if TYPE_CHECKING:
+    from .quantum_core import PureState
 
 STATE_FORMAT_VERSION = 1
 
@@ -41,15 +38,15 @@ def state_to_document(psi: PureState) -> dict:
 
 def state_from_document(doc: dict) -> PureState:
     """Parse and validate a state document."""
+    from .quantum_core import PureState
+
     if not isinstance(doc, dict):
         raise ValueError("state document must be a JSON object")
     if doc.get("format") != STATE_FORMAT_VERSION:
         raise ValueError(f"unsupported state format: {doc.get('format')!r}")
     try:
         num_qubits = int(doc["num_qubits"])
-        amps = np.array(
-            [complex(re, im) for re, im in doc["amplitudes"]], dtype=complex
-        )
+        amps = [complex(re, im) for re, im in doc["amplitudes"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
     return PureState(num_qubits, amps)
@@ -100,6 +97,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_members(text: str) -> tuple[int, ...]:
+    from .quantum_core import share_subset
+
     try:
         members = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
     except ValueError as exc:
@@ -108,6 +107,8 @@ def _parse_members(text: str) -> tuple[int, ...]:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
+    from .code5 import QubitSecret, encode_classical, encode_quantum
+
     if args.alpha0 is not None or args.alpha1 is not None:
         if args.secret is not None:
             raise ValueError("give either --secret or --alpha0/--alpha1, not both")
@@ -151,6 +152,8 @@ def _report_csv(report) -> str:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .access_analysis import SecretPrior, access_structure_report
+
     report = access_structure_report(SecretPrior.from_q0(args.prior))
     if args.format == "json":
         doc = {
@@ -167,7 +170,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    report = verify_distance(args.max_weight, tolerance=args.tolerance)
+    from .code5 import verify_distance
+    from .quantum_core import VERDICT_ATOL
+
+    tolerance = VERDICT_ATOL if args.tolerance is None else args.tolerance
+    report = verify_distance(args.max_weight, tolerance=tolerance)
     if args.format == "json":
         doc = {
             "max_weight": report.max_weight,
@@ -205,6 +212,10 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    from .access_analysis import SecretPrior, reconstruct_classical, reconstruct_quantum
+    from .code5 import QubitSecret, encode_classical
+    from .quantum_core import VERDICT_ATOL, reduced_state
+
     members = _parse_members(args.members)
     psi = read_state(args.state)
     if psi.num_qubits != 5:
@@ -299,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("distance", help="run the error-operator distance certification")
     p_dist.add_argument("--max-weight", type=int, default=3)
-    p_dist.add_argument("--tolerance", type=float, default=VERDICT_ATOL)
+    p_dist.add_argument("--tolerance", type=float, default=None)
     p_dist.add_argument("--expect", type=int, default=None, help="fail (exit 2) unless the certified distance matches")
     p_dist.add_argument("--format", choices=("json", "table"), default="table")
     p_dist.add_argument("--out", type=str, default=None)

@@ -53,7 +53,8 @@ class QubitSecret:
     def __post_init__(self) -> None:
         if not np.isfinite([self.alpha0, self.alpha1]).all():
             raise ValueError(f"secret amplitudes must be finite: {self}")
-        norm_sq = abs(self.alpha0) ** 2 + abs(self.alpha1) ** 2
+        # Products, not float ** 2, which raises OverflowError past 1e154.
+        norm_sq = abs(self.alpha0) * abs(self.alpha0) + abs(self.alpha1) * abs(self.alpha1)
         if abs(norm_sq - 1.0) > NORM_ATOL:
             raise ValueError(f"secret is not normalized: |alpha|^2 = {norm_sq!r}")
 

@@ -22,9 +22,12 @@ from qsslab.access_analysis import (
 )
 from qsslab.code5 import QubitSecret, encode_classical, encode_quantum
 from qsslab.quantum_core import (
+    VERDICT_ATOL,
     DensityMatrix,
+    PureState,
     all_nonempty_subsets,
     reduced_state,
+    share_block,
 )
 
 PRIORS = [SecretPrior(0.5, 0.5), SecretPrior(0.3, 0.7), SecretPrior(0.01, 0.99)]
@@ -53,6 +56,10 @@ class TestSecretPrior:
     def test_from_q0(self):
         prior = SecretPrior.from_q0(0.3)
         assert prior.q1 == pytest.approx(0.7)
+
+    def test_negative_zero_is_stored_as_zero(self):
+        for prior in (SecretPrior.from_q0(-0.0), SecretPrior(1.0, -0.0)):
+            assert math.copysign(1.0, prior.q0) == math.copysign(1.0, prior.q1) == 1.0
 
     def test_entropy_bits(self):
         assert UNIFORM_PRIOR.entropy_bits == pytest.approx(1.0, abs=1e-12)
@@ -313,6 +320,32 @@ class TestCodewordReductions:
 
 
 unit_interval = st.floats(-1.0, 1.0, allow_nan=False)
+#: Real and imaginary parts of a 4 x 4 complex matrix, the largest a local
+#: unitary on two shares needs.
+matrix_entries = st.lists(unit_interval, min_size=32, max_size=32)
+SMALL_SUBSETS = [s for s in all_nonempty_subsets(5) if len(s) <= 2]
+TRIPLES = [s for s in all_nonempty_subsets(5) if len(s) == 3]
+QUALIFIED = [s for s in all_nonempty_subsets(5) if len(s) >= 3]
+
+
+def unitary(entries: list[float], dim: int) -> np.ndarray:
+    """The Q factor of a dim x dim complex matrix: unitary for any entries."""
+    z = np.array(entries[: dim * dim]) + 1j * np.array(entries[16 : 16 + dim * dim])
+    return np.linalg.qr(z.reshape(dim, dim))[0]
+
+
+def apply_local(psi: PureState, members: tuple[int, ...], u: np.ndarray) -> PureState:
+    """(u on the shares in ``members``) x (identity on the others) applied to psi."""
+    others = tuple(q for q in range(1, 6) if q not in members)
+    tensor = (u @ share_block(psi, members)).reshape([2] * 5)
+    return PureState(5, tensor.transpose(np.argsort([q - 1 for q in members + others])).reshape(-1))
+
+
+def secret_from(re0: float, im0: float, re1: float, im1: float) -> QubitSecret:
+    amps = np.array([complex(re0, im0), complex(re1, im1)])
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-6)
+    return QubitSecret(*(amps / norm))
 
 
 class TestRandomSecretProperties:
@@ -321,10 +354,7 @@ class TestRandomSecretProperties:
     @settings(max_examples=50, deadline=None)
     @given(unit_interval, unit_interval, unit_interval, unit_interval)
     def test_recovery_and_secrecy(self, re0, im0, re1, im1):
-        amps = np.array([complex(re0, im0), complex(re1, im1)])
-        norm = np.linalg.norm(amps)
-        assume(norm > 1e-6)
-        secret = QubitSecret(*(amps / norm))
+        secret = secret_from(re0, im0, re1, im1)
         psi = encode_quantum(secret)
         for subset in all_nonempty_subsets(5):
             state = reduced_state(psi, subset)
@@ -334,3 +364,40 @@ class TestRandomSecretProperties:
             else:
                 rho0 = codeword_reductions(subset)[0]
                 assert np.max(np.abs(state.matrix - rho0.matrix)) <= 1e-12
+
+
+class TestLocalUnitaryProperties:
+    """A unitary on at most two shares neither reveals nor destroys the secret."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(SMALL_SUBSETS), matrix_entries)
+    def test_small_subset_sees_the_same_state_for_both_words(self, members, entries):
+        u = unitary(entries, 2 ** len(members))
+        rho0, rho1 = (
+            reduced_state(apply_local(encode_classical(s), members, u), members) for s in (0, 1)
+        )
+        assert np.max(np.abs(rho0.matrix - rho1.matrix)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(TRIPLES),
+        st.integers(1, 3),
+        matrix_entries,
+        unit_interval, unit_interval, unit_interval, unit_interval,
+    )
+    def test_other_three_shares_still_recover(self, triple, mask, entries, re0, im0, re1, im1):
+        secret = secret_from(re0, im0, re1, im1)
+        rest = [q for q in range(1, 6) if q not in triple]
+        members = tuple(q for bit, q in enumerate(rest) if mask >> bit & 1)
+        psi = apply_local(encode_quantum(secret), members, unitary(entries, 2 ** len(members)))
+        fidelity = reconstruct_quantum(triple, reduced_state(psi, triple), secret).fidelity
+        assert abs(fidelity - 1.0) <= 1e-9
+
+
+class TestRandomPriorProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_qualified_holevo_equals_prior_entropy(self, q0):
+        prior = SecretPrior.from_q0(q0)
+        for members in QUALIFIED:
+            assert abs(holevo_information(members, prior) - prior.entropy_bits) <= VERDICT_ATOL

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from qsslab import access_analysis, cli
+from qsslab import access_analysis
 from qsslab.cli import main, read_state, state_from_document, state_to_document
 from qsslab.code5 import encode_classical
+from qsslab.quantum_core import DensityMatrix
 
 
 def run(*argv) -> int:
@@ -75,6 +76,12 @@ class TestEncodeCommand:
     def test_missing_inputs_fail(self):
         assert run("encode") == 1
 
+    def test_overflowing_amplitude_fails(self, capsys):
+        assert run("encode", "--alpha0", "1e200", "--alpha1", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: secret is not normalized: |alpha|^2 = inf\n"
+
     def test_non_finite_amplitude_fails(self, tmp_path, capsys):
         out = tmp_path / "nan.json"
         assert run("encode", "--alpha0", "nan", "--alpha1", "0", "--out", str(out)) == 1
@@ -128,6 +135,28 @@ class TestReportCommand:
         assert run("report", "--prior", "nan") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+
+    def test_negative_zero_prior_prints_zero(self, capsys):
+        assert run("report", "--prior", "-0.0") == 0
+        assert "prior: q0=0 q1=1\n" in capsys.readouterr().out
+
+    def test_imperfect_encoding_fails_with_2(self, monkeypatch, capsys):
+        # Leak a fraction eps of word 0 into word 1: every qualified subset
+        # then sits at trace distance 1 - eps, short of Qualified, while its
+        # Holevo information is far from 0. No tolerance is touched.
+        eps = 1e-6
+        exact = access_analysis.codeword_reductions
+
+        def leaky(j):
+            rho0, rho1 = exact(j)
+            return rho0, DensityMatrix((1 - eps) * rho1.matrix + eps * rho0.matrix)
+
+        monkeypatch.setattr(access_analysis, "codeword_reductions", leaky)
+        assert run("report") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification failure: subset (1, 2, 3):")
+        assert captured.err.count("\n") == 1
 
     def test_indeterminate_classification_fails_with_2(self, monkeypatch, capsys):
         # A negative tolerance lets no subset meet either predicate.
@@ -222,11 +251,20 @@ class TestReconstructCommand:
         assert captured.out == ""
         assert "outside the code space: weight 0.0625" in captured.err
 
+    def test_overflowing_expected_amplitude_fails(self, state_file, capsys):
+        assert run(
+            "reconstruct", "--state", state_file, "--members", "1,2,3",
+            "--expect-alpha0", "1e200", "--expect-alpha1", "0",
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: secret is not normalized: |alpha|^2 = inf\n"
+
     def test_internal_failure_fails_with_2(self, state_file, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise RuntimeError("recovery failed")
 
-        monkeypatch.setattr(cli, "reconstruct_quantum", fail)
+        monkeypatch.setattr(access_analysis, "reconstruct_quantum", fail)
         assert run("reconstruct", "--state", state_file, "--members", "1,2,3") == 2
         captured = capsys.readouterr()
         assert captured.out == ""

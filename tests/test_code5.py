@@ -180,6 +180,12 @@ class TestEncodeQuantum:
         with pytest.raises(ValueError, match="not normalized"):
             QubitSecret(1.0, 1.0)
 
+    @pytest.mark.parametrize("alpha0", [1e200, complex(0.0, 1e200)])
+    def test_rejects_overflowing_secret(self, alpha0):
+        # |alpha0|^2 overflows to inf, which is not within NORM_ATOL of 1.
+        with pytest.raises(ValueError, match=r"^secret is not normalized: \|alpha\|\^2 = inf$"):
+            QubitSecret(alpha0, 0.0)
+
     @pytest.mark.parametrize("alpha0", [float("nan"), float("inf"), complex(0.0, float("nan"))])
     def test_rejects_non_finite_secret(self, alpha0):
         with pytest.raises(ValueError, match="finite"):

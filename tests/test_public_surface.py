@@ -1,5 +1,8 @@
 """The package exports what it documents, and removed names stay removed."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,49 @@ import qsslab
 from qsslab import classical_bound, code5
 
 ROOT = Path(__file__).resolve().parents[1]
+#: The public names, in the order ``__all__`` lists them.
+PUBLIC = [
+    "AccessReport",
+    "BoundReport",
+    "Classification",
+    "ClassicalReconstruction",
+    "DensityMatrix",
+    "DistanceReport",
+    "IndeterminateClassificationError",
+    "LinearScheme",
+    "PureState",
+    "QuantumReconstruction",
+    "QubitSecret",
+    "SearchReport",
+    "SecretPrior",
+    "SubsetStatus",
+    "SubsetVerdict",
+    "ThresholdParams",
+    "UNIFORM_PRIOR",
+    "UnqualifiedSubsetError",
+    "access_structure_report",
+    "all_nonempty_subsets",
+    "check_bound",
+    "classify_subset",
+    "codeword_reductions",
+    "encode_classical",
+    "encode_quantum",
+    "gf2_in_span",
+    "gf2_rank",
+    "hermitian_eig",
+    "holevo_information",
+    "realizes_threshold",
+    "reconstruct_classical",
+    "reconstruct_quantum",
+    "reduced_state",
+    "scheme_subset_status",
+    "search_linear_schemes",
+    "share_subset",
+    "trace_distance",
+    "trace_norm",
+    "verify_distance",
+    "von_neumann_entropy",
+]
 #: The amplitude-table and Pauli-object API: the code words come from the
 #: stabilizer generators, and Pauli strings go through one private kernel.
 REMOVED = (
@@ -23,6 +69,8 @@ REMOVED = (
 @pytest.mark.parametrize("name", qsslab.__all__)
 def test_every_exported_name_resolves(name):
     assert getattr(qsslab, name) is not None
+    # Resolved once, then a plain package global.
+    assert vars(qsslab)[name] is getattr(qsslab, name)
 
 
 @pytest.mark.parametrize("name", REMOVED)
@@ -36,3 +84,66 @@ def test_removed_name_is_gone(name):
 
 def test_linear_scheme_has_no_share_evaluator():
     assert not hasattr(classical_bound.LinearScheme, "shares")
+
+
+def test_all_lists_the_public_names_in_order():
+    assert qsslab.__all__ == PUBLIC
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict = {}
+    exec("from qsslab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+
+
+def test_dir_lists_every_public_name():
+    assert set(qsslab.__all__) <= set(dir(qsslab))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="qsslab"):
+        qsslab.no_such_name
+
+
+def run_fresh(code: str) -> tuple[str, bool]:
+    """Run ``code`` in a new interpreter on ``src/``: its stdout, and whether numpy got imported."""
+    probe = "\nimport sys\nsys.stderr.write(str('numpy' in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", code + probe],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stderr in ("True", "False"), result.stderr
+    return result.stdout, result.stderr == "True"
+
+
+class TestImportBoundary:
+    """Only the subcommands that compute with numpy import it."""
+
+    def test_package_import_leaves_numpy_out(self):
+        assert run_fresh("import qsslab") == ("", False)
+
+    def test_help_leaves_numpy_out(self):
+        out, numpy_imported = run_fresh(
+            "import runpy, sys\n"
+            "sys.argv = ['qsslab', '--help']\n"
+            "try:\n"
+            "    runpy.run_module('qsslab', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code"
+        )
+        assert out.startswith("usage: qsslab")
+        assert not numpy_imported
+
+    def test_search_classical_leaves_numpy_out(self):
+        out, numpy_imported = run_fresh(
+            "from qsslab import cli\n"
+            "assert cli.main(['search-classical', '--n', '2', '--k', '2', '--max-rand', '2']) == 0"
+        )
+        assert out == (ROOT / "perfbench" / "goldens" / "search_n2_k2_m2.table").read_text()
+        assert not numpy_imported
+
+    def test_report_imports_numpy(self):
+        out, numpy_imported = run_fresh("from qsslab import cli\nassert cli.main(['report']) == 0")
+        assert "threshold(3,5) structure: true" in out
+        assert numpy_imported
