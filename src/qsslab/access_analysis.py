@@ -64,7 +64,7 @@ class SecretPrior:
             raise ValueError(f"probabilities must be finite: {self}")
         if self.q0 < 0 or self.q1 < 0:
             raise ValueError(f"probabilities must be nonnegative: {self}")
-        if abs(self.q0 + self.q1 - 1.0) > NORM_ATOL:
+        if not abs(self.q0 + self.q1 - 1.0) <= NORM_ATOL:
             raise ValueError(f"probabilities must sum to 1: {self}")
         # -0.0 + 0.0 == +0.0: a negative zero is stored, and printed, as 0.
         object.__setattr__(self, "q0", self.q0 + 0.0)
@@ -238,7 +238,7 @@ def _recovery_kraus(members: tuple[int, ...]) -> np.ndarray:
     lost = blocks.shape[2]
     kraus = math.sqrt(lost) * blocks.conj().transpose(2, 0, 1)
     adjoint = kraus.reshape(2 * lost, -1)
-    if np.max(np.abs(adjoint @ adjoint.conj().T - np.eye(2 * lost))) > NORM_ATOL:
+    if not np.max(np.abs(adjoint @ adjoint.conj().T - np.eye(2 * lost))) <= NORM_ATOL:
         raise RuntimeError(f"the code does not correct the loss of the shares outside {members}")
     kraus.setflags(write=False)
     return kraus

@@ -196,17 +196,16 @@ def _search_fixed_m(
 ) -> Optional[LinearScheme]:
     everything = (1 << (1 << (m + 1))) - 1  # candidate sets: bit x is vector x
     secret_vec = 1 << m  # (a=1, b=0): the functional picking out s itself
+    bit = [1 << w for w in range(1 << (m + 1))]
     assigned: list[int] = []
 
-    def coset(vectors: Sequence[int]) -> int:
-        # A subset S + {x} is Qualified iff x lies in secret_vec ^ span(S).
+    def coset(vectors: Sequence[int]) -> list[int]:
+        # secret_vec ^ span(S): S + {x} is Qualified iff x lies in it, and
+        # the coset of S + {x} is that of S together with its shift by x.
         members = [secret_vec]
         for v in vectors:
             members += [v ^ w for w in members]
-        mask = 0
-        for w in members:
-            mask |= 1 << w
-        return mask
+        return members
 
     def count(forbidden: int, required: int, seen: int) -> None:
         counters.assignments += seen.bit_count()
@@ -217,8 +216,13 @@ def _search_fixed_m(
         # When pruning, forbidden is the union of the cosets of all assigned
         # S with |S| <= k - 2, required the intersection over |S| = k - 1 (all
         # candidates until such S exist). Spans grow with subsets, so a child
-        # adds only the cosets of the largest S that contain its new share x.
+        # adds only the cosets of the largest S + {x} that contain its new
+        # share x; the cosets of those S are built once per node.
         allowed = required & ~forbidden
+        inner = prune and allowed and depth < n - 1
+        combos = itertools.combinations
+        grow = [coset(c) for c in combos(assigned, min(depth, k - 3))] if inner and k >= 3 else []
+        shrink = [coset(c) for c in combos(assigned, k - 2)] if inner and k >= 2 else []
         while allowed:
             low = allowed & -allowed
             allowed ^= low
@@ -237,12 +241,14 @@ def _search_fixed_m(
                     )
             else:
                 child_forbidden, child_required = forbidden, required
-                if prune and k >= 3:
-                    for combo in itertools.combinations(assigned, min(depth, k - 3)):
-                        child_forbidden |= coset(combo + (x,))
-                if prune and k >= 2:
-                    for combo in itertools.combinations(assigned, k - 2):
-                        child_required &= coset(combo + (x,))
+                for members in grow:
+                    for w in members:
+                        child_forbidden |= bit[w] | bit[w ^ x]
+                for members in shrink:
+                    mask = 0
+                    for w in members:
+                        mask |= bit[w] | bit[w ^ x]
+                    child_required &= mask
                 assigned.append(x)
                 witness = dfs(depth + 1, child_forbidden, child_required)
                 assigned.pop()
@@ -256,8 +262,8 @@ def _search_fixed_m(
     # Depth 0 starts from the empty subset's coset {secret_vec}: forbidden
     # for k >= 2, required for k = 1.
     if prune and k == 1:
-        return dfs(0, 0, coset(()))
-    return dfs(0, coset(()) if prune else 0, everything)
+        return dfs(0, 0, bit[secret_vec])
+    return dfs(0, bit[secret_vec] if prune else 0, everything)
 
 
 def search_linear_schemes(

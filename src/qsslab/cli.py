@@ -42,10 +42,13 @@ def state_from_document(doc: dict) -> PureState:
 
     if not isinstance(doc, dict):
         raise ValueError("state document must be a JSON object")
-    if doc.get("format") != STATE_FORMAT_VERSION:
+    # Integer fields must be JSON integers: not true, 1.0, 5.5 or "5".
+    if type(doc.get("format")) is not int or doc["format"] != STATE_FORMAT_VERSION:
         raise ValueError(f"unsupported state format: {doc.get('format')!r}")
+    num_qubits = doc.get("num_qubits")
+    if type(num_qubits) is not int:
+        raise ValueError(f"malformed state document: num_qubits must be an integer, got {num_qubits!r}")
     try:
-        num_qubits = int(doc["num_qubits"])
         amps = [complex(re, im) for re, im in doc["amplitudes"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
@@ -221,7 +224,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     if psi.num_qubits != 5:
         raise ValueError(f"reconstruct needs a five-qubit state, {args.state} holds {psi.num_qubits}")
     weight = sum(abs(encode_classical(s).overlap(psi)) ** 2 for s in (0, 1))
-    if weight < 1.0 - VERDICT_ATOL:
+    if not weight >= 1.0 - VERDICT_ATOL:
         raise ValueError(f"{args.state} lies outside the code space: weight {_fmt(weight)}")
     rho = reduced_state(psi, members)
     prior = SecretPrior.from_q0(args.prior)

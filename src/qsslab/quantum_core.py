@@ -60,7 +60,7 @@ class PureState:
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         norm_sq = float(np.real(np.vdot(amps, amps)))
-        if abs(norm_sq - 1.0) > STATE_NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= STATE_NORM_ATOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
         # Absorb rounding noise so downstream invariants hold to 1e-12.
         amps /= math.sqrt(norm_sq)
@@ -103,13 +103,13 @@ class DensityMatrix:
             raise ValueError(f"dimension must be a power of 2, got {dim}")
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > NORM_ATOL:
+        if not np.max(np.abs(m - m.conj().T)) <= NORM_ATOL:
             raise ValueError("matrix is not Hermitian within 1e-12")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > NORM_ATOL:
+        if not abs(tr - 1.0) <= NORM_ATOL:
             raise ValueError(f"trace must be 1, got {tr!r}")
         lowest = np.linalg.eigvalsh(m)[0]
-        if lowest < -PSD_ATOL:
+        if not lowest >= -PSD_ATOL:
             raise ValueError(f"matrix is not PSD: min eigenvalue {lowest!r}")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -189,10 +189,14 @@ def _jacobi_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Sweeps two-sided unitary rotations until the off-diagonal mass is at
     rounding level. Dimensions here never exceed 32, so quadratic
     convergence makes this both fast enough and accurate to ~1e-15.
+
+    a sits on top of the eigenvectors v in one (2n x n) array, so one set
+    of ufunc calls rotates columns p and q of both, with the same scalar
+    operations per entry as separate updates: the bits do not change.
     """
-    a = matrix.astype(complex, copy=True)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
+    n = matrix.shape[0]
+    av = np.vstack([matrix.astype(complex), np.eye(n, dtype=complex)])
+    a, v = av[:n], av[n:]
     if n == 1:
         return a.real.diagonal().copy(), v
 
@@ -212,22 +216,17 @@ def _jacobi_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 if ab <= 1e-18 * scale:
                     continue
                 phase = b / ab
+                conj_phase = np.conj(phase)
                 tau = (a[p, p].real - a[q, q].real) / (2.0 * ab)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
-                # Two-sided rotation mixing rows/columns p and q.
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(phase) * col_q
-                a[:, q] = -s * phase * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p + s * np.conj(phase) * vec_q
-                v[:, q] = -s * phase * vec_p + c * vec_q
+                # Two-sided rotation mixing rows/columns p and q; v rides in av.
+                row_p, row_q = a[p], a[q]
+                a[p], a[q] = c * row_p + s * phase * row_q, -s * conj_phase * row_p + c * row_q
+                col_p, col_q = av[:, p], av[:, q]
+                av[:, p], av[:, q] = c * col_p + s * conj_phase * col_q, -s * phase * col_p + c * col_q
+                a[p, q] = a[q, p] = 0.0
     else:
         raise RuntimeError("Jacobi iteration failed to converge")
 
@@ -248,7 +247,7 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_ATOL:
+    if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_ATOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
     # Symmetrize away rounding noise so the rotations see an exact input.
     return _jacobi_eig((m + m.conj().T) / 2.0)

@@ -35,6 +35,20 @@ class TestStateFormat:
         with pytest.raises(ValueError, match="malformed"):
             state_from_document({"format": 1, "num_qubits": 5})
 
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_format_must_be_an_integer(self, value):
+        doc = state_to_document(encode_classical(0))
+        doc["format"] = value
+        with pytest.raises(ValueError, match="unsupported state format"):
+            state_from_document(doc)
+
+    @pytest.mark.parametrize("value", [5.5, 5.0, "5", True, None])
+    def test_num_qubits_must_be_an_integer(self, value):
+        doc = state_to_document(encode_classical(0))
+        doc["num_qubits"] = value
+        with pytest.raises(ValueError, match="num_qubits must be an integer"):
+            state_from_document(doc)
+
 
 class TestEncodeCommand:
     def test_encode_writes_valid_state(self, tmp_path):
@@ -226,6 +240,31 @@ class TestReconstructCommand:
         bad.write_text("{not json")
         assert run("reconstruct", "--state", str(bad), "--members", "1,2,3") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("format", True), ("format", 1.0), ("num_qubits", 5.5), ("num_qubits", "5")],
+    )
+    def test_non_integer_field_fails(self, tmp_path, capsys, field, value):
+        doc = state_to_document(encode_classical(0))
+        doc[field] = value
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        assert run("reconstruct", "--state", str(path), "--members", "1,2,3") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert captured.err.startswith("error: ")
+
+    def test_overflowing_norm_state_file_fails(self, tmp_path, capsys):
+        # |psi|^2 of this file overflows to NaN; it must read as unnormalized.
+        path = tmp_path / "huge.json"
+        amps = [[1e308, 1e308]] + [[0.0, 0.0]] * 31
+        path.write_text(json.dumps({"format": 1, "num_qubits": 5, "amplitudes": amps}))
+        assert run("reconstruct", "--state", str(path), "--members", "1,2,3") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: state is not normalized: |psi|^2 = nan"]
 
     def test_bad_members_fail(self, state_file):
         assert run("reconstruct", "--state", state_file, "--members", "1,9") == 1

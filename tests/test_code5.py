@@ -14,6 +14,9 @@ import pytest
 from qsslab.code5 import (
     QubitSecret,
     _pauli_action,
+    _pauli_masks,
+    _pauli_string,
+    _weight_masks,
     encode_classical,
     encode_quantum,
     verify_distance,
@@ -60,7 +63,17 @@ def table_word(s: int) -> np.ndarray:
 
 
 def act(letters: str, amplitudes: np.ndarray) -> np.ndarray:
-    return _pauli_action([letters], amplitudes)[0]
+    return _pauli_action(_pauli_masks([letters]), amplitudes)[0]
+
+
+def reference_operators(weight: int) -> list[str]:
+    """The scan's operators as letter strings, built the way the scan once
+    built them: combinations(range(5), weight) x product("XYZ")."""
+    return [
+        "".join(dict(zip(positions, letters)).get(q, "I") for q in range(5))
+        for positions in itertools.combinations(range(5), weight)
+        for letters in itertools.product("XYZ", repeat=weight)
+    ]
 
 
 def random_state(rng: np.random.Generator, num_qubits: int = 5) -> PureState:
@@ -239,7 +252,7 @@ class TestPauliAction:
         psi = random_state(rng)
         letters_pool = list(itertools.product("IXYZ", repeat=5))
         ops = ["".join(letters_pool[rng.integers(len(letters_pool))]) for _ in range(40)]
-        rows = _pauli_action(ops, psi.amplitudes)
+        rows = _pauli_action(_pauli_masks(ops), psi.amplitudes)
         for letters, row in zip(ops, rows):
             np.testing.assert_allclose(row, pauli_matrix(letters) @ psi.amplitudes, atol=1e-12)
 
@@ -256,6 +269,24 @@ class TestPauliAction:
         psi = random_state(rng)
         out = act("XYZXY", psi.amplitudes)
         assert np.vdot(out, out).real == pytest.approx(1.0, abs=1e-12)
+
+
+class TestScanMasks:
+    """The integer-built masks of the scan against the string generation."""
+
+    @pytest.mark.parametrize("weight", range(1, 6))
+    def test_same_masks_in_the_same_order(self, weight):
+        ops = reference_operators(weight)
+        masks = _weight_masks(weight)
+        for got, want in zip(masks, _pauli_masks(ops), strict=True):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("weight", range(1, 6))
+    def test_letters_round_trip(self, weight):
+        ops = reference_operators(weight)
+        masks = _weight_masks(weight)
+        assert [_pauli_string(masks, k) for k in range(len(ops))] == ops
 
 
 class TestVerifyDistance:

@@ -2,14 +2,17 @@
 
 The partial-trace oracle here walks basis strings bit by bit and the
 eigensolver is cross-checked against numpy's LAPACK wrapper, so both
-sides of every comparison go through independent code paths.
+sides of every comparison go through independent code paths. The Jacobi
+solver is also pinned bit for bit to a plain copy of its rotation loop.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
 
+from qsslab.access_analysis import codeword_reductions
 from qsslab.code5 import encode_classical
 from qsslab.quantum_core import (
     PSD_ATOL,
@@ -60,6 +63,53 @@ def random_state(rng: np.random.Generator, num_qubits: int) -> PureState:
     return PureState(num_qubits, amps / np.linalg.norm(amps))
 
 
+def reference_jacobi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclic Jacobi loop with separate a and v and copied rows/columns.
+
+    The oracle for the stacked rotation in quantum_core: hermitian_eig must
+    return exactly these bits. Takes the symmetrized input, as
+    hermitian_eig hands it to the solver.
+    """
+    a = matrix.astype(complex, copy=True)
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    if n == 1:
+        return a.real.diagonal().copy(), v
+    scale = max(float(np.linalg.norm(a)), 1.0)
+    for _ in range(60):
+        hollow = a.copy()
+        np.fill_diagonal(hollow, 0.0)
+        if float(np.linalg.norm(hollow)) <= 1e-14 * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                b = a[p, q]
+                ab = abs(b)
+                if ab <= 1e-18 * scale:
+                    continue
+                phase = b / ab
+                tau = (a[p, p].real - a[q, q].real) / (2.0 * ab)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p + s * phase * row_q
+                a[q, :] = -s * np.conj(phase) * row_p + c * row_q
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p + s * np.conj(phase) * col_q
+                a[:, q] = -s * phase * col_p + c * col_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vec_p + s * np.conj(phase) * vec_q
+                v[:, q] = -s * phase * vec_p + c * vec_q
+    else:
+        raise RuntimeError("Jacobi iteration failed to converge")
+    values = np.real(np.diagonal(a)).copy()
+    order = np.argsort(values)[::-1]
+    return values[order], v[:, order]
+
+
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = a @ a.conj().T
@@ -84,6 +134,13 @@ class TestPureState:
         with pytest.raises(ValueError, match="finite"):
             PureState(1, np.array([bad, 0.0]))
 
+    def test_rejects_overflowing_norm(self):
+        # |psi|^2 overflows to NaN in vdot; a NaN norm is not within tolerance.
+        amps = np.zeros(32, dtype=complex)
+        amps[0] = complex(1e308, 1e308)
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(5, amps)
+
     def test_absorbs_rounding_noise(self):
         amps = np.array([1.0 + 3e-11, 0.0])
         psi = PureState(1, amps)
@@ -103,6 +160,12 @@ class TestDensityMatrix:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.eye(2))
+
+    def test_rejects_nan_trace(self):
+        # The pairwise sum of this diagonal is inf + (-inf) = NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="trace must be 1"):
+                DensityMatrix(np.diag([1e308, 1e308, -1e308, -1e308] + [0.0] * 12))
 
     def test_rejects_negative_eigenvalues(self):
         with pytest.raises(ValueError, match="PSD"):
@@ -313,3 +376,35 @@ class TestTraceDistance:
             d = trace_distance(rho, sigma)
             assert d == pytest.approx(trace_distance(sigma, rho), abs=1e-12)
             assert -1e-12 <= d <= 1.0 + 1e-12
+
+
+def assert_matches_reference_jacobi(m: np.ndarray) -> None:
+    values, vectors = hermitian_eig(m)
+    ref_values, ref_vectors = reference_jacobi((m + m.conj().T) / 2.0)
+    assert values.tobytes() == ref_values.tobytes()
+    assert vectors.tobytes() == ref_vectors.tobytes()
+
+
+#: Priors q0 for the mixtures and differences; q0 = 0.5 gives the uniform
+#: Helstrom matrix (rho0 - rho1) / 2.
+ORACLE_PRIORS = (0.0, 0.3, 0.5, 1.0, *np.random.default_rng(97).uniform(size=2))
+
+
+class TestJacobiOracle:
+    """hermitian_eig against the unstacked rotation loop, byte for byte."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 32])
+    def test_random_hermitian(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for _ in range(3):
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            assert_matches_reference_jacobi(a + a.conj().T)
+
+    @pytest.mark.parametrize("members", all_nonempty_subsets())
+    def test_code_word_reductions(self, members):
+        rho0, rho1 = (r.matrix for r in codeword_reductions(members))
+        for m in (rho0, rho1, rho0 - rho1):
+            assert_matches_reference_jacobi(m)
+        for q0 in ORACLE_PRIORS:
+            assert_matches_reference_jacobi(q0 * rho0 + (1.0 - q0) * rho1)
+            assert_matches_reference_jacobi(q0 * rho0 - (1.0 - q0) * rho1)
