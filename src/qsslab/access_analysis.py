@@ -25,9 +25,6 @@ import numpy as np
 
 from .code5 import QubitSecret, encode_classical
 from .quantum_core import (
-    ENTROPY_EIGENVALUE_FLOOR,
-    NORM_ATOL,
-    VERDICT_ATOL,
     DensityMatrix,
     all_nonempty_subsets,
     reduced_state,
@@ -37,6 +34,7 @@ from .quantum_core import (
     trace_norm,
     von_neumann_entropy,
 )
+from .tolerances import ENTROPY_EIGENVALUE_FLOOR, NORM_ATOL, VERDICT_ATOL
 
 
 class UnqualifiedSubsetError(ValueError):

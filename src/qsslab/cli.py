@@ -7,8 +7,9 @@ numeric table/csv output carries 15 significant digits; JSON uses exact
 round-trip floats.
 
 The numeric modules, and with them numpy, are imported inside the
-subcommands that compute with them: ``search-classical`` and ``--help``
-run on the pure-Python GF(2) code alone.
+subcommands that compute with them: ``distance``, ``search-classical``
+and ``--help`` run on pure-Python code alone (the symplectic distance
+certificate and the GF(2) search).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .classical_bound import ThresholdParams, check_bound, search_linear_schemes
+from .symplectic import verify_distance
+from .tolerances import VERDICT_ATOL
 
 if TYPE_CHECKING:
     from .quantum_core import PureState
@@ -49,8 +52,12 @@ def state_from_document(doc: dict) -> PureState:
     if type(num_qubits) is not int:
         raise ValueError(f"malformed state document: num_qubits must be an integer, got {num_qubits!r}")
     try:
-        amps = [complex(re, im) for re, im in doc["amplitudes"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        pairs = [(re, im) for re, im in doc["amplitudes"]]
+        # Amplitude parts must be JSON numbers: not true, null or "0.5".
+        if not all(type(part) in (int, float) for pair in pairs for part in pair):
+            raise ValueError("amplitude parts must be numbers")
+        amps = [complex(re, im) for re, im in pairs]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
     return PureState(num_qubits, amps)
 
@@ -173,9 +180,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    from .code5 import verify_distance
-    from .quantum_core import VERDICT_ATOL
-
     tolerance = VERDICT_ATOL if args.tolerance is None else args.tolerance
     report = verify_distance(args.max_weight, tolerance=tolerance)
     if args.format == "json":
@@ -217,7 +221,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     from .access_analysis import SecretPrior, reconstruct_classical, reconstruct_quantum
     from .code5 import QubitSecret, encode_classical
-    from .quantum_core import VERDICT_ATOL, reduced_state
+    from .quantum_core import reduced_state
 
     members = _parse_members(args.members)
     psi = read_state(args.state)

@@ -23,18 +23,15 @@ from typing import Iterable
 
 import numpy as np
 
-#: Unit-norm / unit-trace / Hermitian tolerance for exact inputs and priors.
-NORM_ATOL = 1e-12
-#: Allowed deviation of |psi|^2 from 1; the amplitudes are then rescaled.
-STATE_NORM_ATOL = 1e-9
-#: Eigenvalues above this count as support; below -PSD_ATOL is an error.
-PSD_ATOL = 1e-10
-#: Hermiticity tolerance accepted by the eigensolver.
-HERMITIAN_ATOL = 1e-10
-#: Eigenvalues (and prior probabilities) below this add nothing to entropy.
-ENTROPY_EIGENVALUE_FLOOR = 1e-12
-#: Deviation a verdict allows: subset classification and the distance scan.
-VERDICT_ATOL = 1e-9
+# The whole tolerance table, so every name also resolves here.
+from .tolerances import (  # noqa: F401
+    ENTROPY_EIGENVALUE_FLOOR,
+    HERMITIAN_ATOL,
+    NORM_ATOL,
+    PSD_ATOL,
+    STATE_NORM_ATOL,
+    VERDICT_ATOL,
+)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -250,7 +247,16 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_ATOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
     # Symmetrize away rounding noise so the rotations see an exact input.
-    return _jacobi_eig((m + m.conj().T) / 2.0)
+    # Halving before adding is exact for normal floats and cannot overflow.
+    h = m / 2.0 + m.conj().T / 2.0
+    top = float(np.abs(h.view(float)).max())
+    if top < 2.0**500:
+        return _jacobi_eig(h)
+    # The Frobenius norm of larger entries overflows. Scaling by a power of
+    # two is exact, so rotate 2^-shift h and scale the eigenvalues back.
+    shift = math.frexp(top)[1] - 500
+    values, vectors = _jacobi_eig(h * 2.0**-shift)
+    return values * 2.0**shift, vectors
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

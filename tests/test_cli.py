@@ -49,6 +49,26 @@ class TestStateFormat:
         with pytest.raises(ValueError, match="num_qubits must be an integer"):
             state_from_document(doc)
 
+    @pytest.mark.parametrize("pair", [[True, False], [None, 0.0], ["0.5", 0.0], [1.0, [0.0]]])
+    def test_amplitude_parts_must_be_numbers(self, pair):
+        doc = {"format": 1, "num_qubits": 1, "amplitudes": [pair, [0.0, 0.0]]}
+        with pytest.raises(ValueError, match="amplitude parts must be numbers"):
+            state_from_document(doc)
+
+    def test_rejects_integer_amplitude_past_float_range(self):
+        doc = {"format": 1, "num_qubits": 1, "amplitudes": [[10**400, 0], [0, 0]]}
+        with pytest.raises(ValueError, match="malformed state document"):
+            state_from_document(doc)
+
+    def test_boolean_amplitudes_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text('{"format": 1, "num_qubits": 1, "amplitudes": [[true, false], [false, false]]}')
+        assert run("reconstruct", "--state", str(path), "--members", "1,2,3") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed state document")
+        assert captured.err.count("\n") == 1
+
 
 class TestEncodeCommand:
     def test_encode_writes_valid_state(self, tmp_path):

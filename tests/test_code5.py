@@ -3,7 +3,9 @@
 The code words derived from the stabilizer generators are checked against
 the textbook amplitude tables below. Pauli operators are cross-checked
 against explicit 32x32 matrices built with np.kron, an entirely separate
-route from the bit-twiddling kernel.
+route from the bit-twiddling kernel. The symplectic distance certificate
+is checked against the dense scan below, which applies every operator to
+both code words.
 """
 
 import itertools
@@ -12,16 +14,18 @@ import numpy as np
 import pytest
 
 from qsslab.code5 import (
+    DistanceReport,
     QubitSecret,
+    WeightCheck,
+    _Masks,
     _pauli_action,
     _pauli_masks,
-    _pauli_string,
-    _weight_masks,
     encode_classical,
     encode_quantum,
     verify_distance,
 )
 from qsslab.quantum_core import PureState, all_nonempty_subsets, reduced_state
+from qsslab.symplectic import normalizer, pauli_letters, symplectic
 
 #: Textbook (bit string, sign) terms of the code words for bits 0 and 1,
 #: each with amplitude sign/4.
@@ -74,6 +78,48 @@ def reference_operators(weight: int) -> list[str]:
         for positions in itertools.combinations(range(5), weight)
         for letters in itertools.product("XYZ", repeat=weight)
     ]
+
+
+def weight_masks(weight: int) -> _Masks:
+    """Masks of the five-qubit operators of one weight, in the order
+    combinations(range(5), weight) x product("XYZ"); digits 0, 1, 2 = X, Y, Z."""
+    place = 1 << (4 - np.array(list(itertools.combinations(range(5), weight))))
+    digit = np.arange(3**weight)[:, None] // 3 ** np.arange(weight - 1, -1, -1) % 3
+    x = ((digit < 2) * place[:, None]).sum(axis=2).ravel()
+    z = ((digit > 0) * place[:, None]).sum(axis=2).ravel()
+    return x, z, np.tile((digit == 1).sum(axis=1), len(place))
+
+
+def pauli_string(masks: _Masks, k: int) -> str:
+    # The letters of five-qubit operator k: the inverse of _pauli_masks.
+    x, z = int(masks[0][k]), int(masks[1][k])
+    return "".join("IXZY"[(x >> q & 1) + 2 * (z >> q & 1)] for q in range(4, -1, -1))
+
+
+def dense_verify_distance(max_weight: int, tolerance: float) -> DistanceReport:
+    """The distance certificate by brute force: every operator of every
+    weight applied to both code words, one kernel call per weight and word."""
+    w0 = encode_classical(0).amplitudes
+    w1 = encode_classical(1).amplitudes
+    checks = []
+    for weight in range(1, max_weight + 1):
+        masks = weight_masks(weight)
+        e_w0 = _pauli_action(masks, w0)
+        e_w1 = _pauli_action(masks, w1)
+        off = np.abs(e_w1 @ w0.conj())
+        diag_diff = np.abs(e_w0 @ w0.conj() - e_w1 @ w1.conj())
+        violating = np.flatnonzero((off > tolerance) | (diag_diff > tolerance))
+        checks.append(
+            WeightCheck(
+                weight=weight,
+                operators_checked=masks[0].size,
+                max_off_diagonal=float(off.max()),
+                max_diagonal_difference=float(diag_diff.max()),
+                violations=violating.size,
+                first_violation=pauli_string(masks, violating[0]) if violating.size else None,
+            )
+        )
+    return DistanceReport(max_weight=max_weight, tolerance=tolerance, checks=tuple(checks))
 
 
 def random_state(rng: np.random.Generator, num_qubits: int = 5) -> PureState:
@@ -272,12 +318,12 @@ class TestPauliAction:
 
 
 class TestScanMasks:
-    """The integer-built masks of the scan against the string generation."""
+    """The integer-built masks of the dense scan against the string generation."""
 
     @pytest.mark.parametrize("weight", range(1, 6))
     def test_same_masks_in_the_same_order(self, weight):
         ops = reference_operators(weight)
-        masks = _weight_masks(weight)
+        masks = weight_masks(weight)
         for got, want in zip(masks, _pauli_masks(ops), strict=True):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
@@ -285,8 +331,39 @@ class TestScanMasks:
     @pytest.mark.parametrize("weight", range(1, 6))
     def test_letters_round_trip(self, weight):
         ops = reference_operators(weight)
-        masks = _weight_masks(weight)
-        assert [_pauli_string(masks, k) for k in range(len(ops))] == ops
+        masks = weight_masks(weight)
+        assert [pauli_string(masks, k) for k in range(len(ops))] == ops
+
+
+#: Tolerances around every value the matrix elements take (0, 1 and 2).
+ORACLE_TOLERANCES = (0.0, 1e-9, 0.3, 0.9, 1.0, 1.5, 1.999, 2.0, 3.0, 1e300)
+
+
+class TestDenseOracle:
+    """The symplectic certificate against the dense scan, field by field."""
+
+    @pytest.mark.parametrize("tolerance", ORACLE_TOLERANCES)
+    @pytest.mark.parametrize("max_weight", range(1, 6))
+    def test_every_field_matches(self, max_weight, tolerance):
+        # repr, unlike ==, also tells 0 from 0.0 and an int from a numpy integer.
+        assert repr(verify_distance(max_weight, tolerance)) == repr(dense_verify_distance(max_weight, tolerance))
+
+
+class TestSymplecticLayer:
+    def test_letters_round_trip(self):
+        for letters in map("".join, itertools.product("IXYZ", repeat=5)):
+            assert pauli_letters(symplectic(letters)) == letters
+
+    def test_normalizer_has_64_elements_by_weight(self):
+        table = normalizer()
+        assert [len(elements) for elements in table] == [1, 0, 0, 30, 15, 18]
+        assert len({letters for elements in table for letters, _, _ in elements}) == 64
+
+    def test_each_weight_is_in_scan_order(self):
+        for weight, elements in enumerate(normalizer()):
+            order = reference_operators(weight)
+            indices = [order.index(letters) for letters, _, _ in elements]
+            assert indices == sorted(indices)
 
 
 class TestVerifyDistance:

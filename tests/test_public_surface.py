@@ -105,6 +105,12 @@ def test_unknown_attribute_raises_attribute_error():
         qsslab.no_such_name
 
 
+def test_one_distance_certificate_behind_every_name():
+    # A span tracer that patches the name in qsslab, code5 and cli sees every
+    # call only while the three names bind one function.
+    assert qsslab.verify_distance is qsslab.code5.verify_distance is qsslab.cli.verify_distance
+
+
 def run_fresh(code: str) -> tuple[str, bool]:
     """Run ``code`` in a new interpreter on ``src/``: its stdout, and whether numpy got imported."""
     probe = "\nimport sys\nsys.stderr.write(str('numpy' in sys.modules))"
@@ -141,6 +147,14 @@ class TestImportBoundary:
             "assert cli.main(['search-classical', '--n', '2', '--k', '2', '--max-rand', '2']) == 0"
         )
         assert out == (ROOT / "perfbench" / "goldens" / "search_n2_k2_m2.table").read_text()
+        assert not numpy_imported
+
+    def test_distance_leaves_numpy_out(self):
+        out, numpy_imported = run_fresh(
+            "from qsslab import cli\n"
+            "assert cli.main(['distance', '--max-weight', '5']) == 0"
+        )
+        assert out == (ROOT / "perfbench" / "goldens" / "distance_w5.table").read_text()
         assert not numpy_imported
 
     def test_report_imports_numpy(self):

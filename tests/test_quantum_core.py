@@ -309,6 +309,19 @@ class TestEigensolver:
                 vectors.conj().T @ vectors, np.eye(4), atol=1e-12
             )
 
+    def test_entries_near_the_float_limit_do_not_overflow(self):
+        # The suite turns RuntimeWarning into an error, so an overflow fails here.
+        values, vectors = hermitian_eig(np.diag([1e308, -1e308]))
+        assert values.tolist() == [1e308, -1e308]
+        assert vectors.tolist() == np.eye(2).tolist()
+
+    def test_large_off_diagonal_entries_rotate_exactly_scaled(self):
+        h = np.array([[1e300, 3e299j], [-3e299j, -2e300]])
+        values, vectors = hermitian_eig(h)
+        small_values, small_vectors = hermitian_eig(h * 2.0**-600)
+        assert values.tobytes() == (small_values * 2.0**600).tobytes()
+        assert vectors.tobytes() == small_vectors.tobytes()
+
     @pytest.mark.parametrize("dim", [2, 8, 16, 32])
     def test_matches_numpy_spectrum(self, dim):
         rng = np.random.default_rng(dim)

@@ -6,7 +6,7 @@ the top bit of each half). Two strings commute exactly when the symplectic
 product popcount(x1 & z2 ^ z1 & x2) is even, and a product of strings is
 the XOR of their ints, so membership of a group generated by strings is
 GF(2) span membership (Gottesman, arXiv quant-ph/9705052). The closed-form
-counts below are checked against the distance scan, the access report
+counts below are checked against the distance certificate, the access report
 (Cleve, Gottesman & Lo, arXiv quant-ph/9901025) and the reduced entropies.
 """
 
