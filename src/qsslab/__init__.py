@@ -23,7 +23,6 @@ _MODULE_OF = {
     "QubitSecret": "code5",
     "SearchReport": "classical_bound",
     "SecretPrior": "access_analysis",
-    "SubsetStatus": "classical_bound",
     "SubsetVerdict": "access_analysis",
     "ThresholdParams": "classical_bound",
     "UNIFORM_PRIOR": "access_analysis",
@@ -39,11 +38,9 @@ _MODULE_OF = {
     "gf2_rank": "classical_bound",
     "hermitian_eig": "quantum_core",
     "holevo_information": "access_analysis",
-    "realizes_threshold": "classical_bound",
     "reconstruct_classical": "access_analysis",
     "reconstruct_quantum": "access_analysis",
     "reduced_state": "quantum_core",
-    "scheme_subset_status": "classical_bound",
     "search_linear_schemes": "classical_bound",
     "share_subset": "quantum_core",
     "trace_distance": "quantum_core",

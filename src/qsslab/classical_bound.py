@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 
@@ -91,11 +90,6 @@ def check_bound(params: ThresholdParams) -> BoundReport:
     )
 
 
-class SubsetStatus(str, Enum):
-    QUALIFIED = "Qualified"
-    UNQUALIFIED = "Unqualified"
-
-
 @dataclass(frozen=True)
 class LinearScheme:
     """GF(2)-linear sharing map: one (a | b) vector per share."""
@@ -112,42 +106,15 @@ class LinearScheme:
                 raise ValueError(f"bad GF(2) vector {vec!r} for m={self.m}")
 
 
-def scheme_subset_status(scheme: LinearScheme, members: Iterable[int]) -> SubsetStatus:
-    """Qualified/Unqualified status of a share subset of a linear scheme.
-
-    The subset is Qualified exactly when the secret functional (1 | 0)
-    lies in the GF(2) row span of its share vectors (a_i | b_i): some sum
-    of its shares then equals s. Otherwise the share distributions for
-    s=0 and s=1 are identical cosets and the subset is Unqualified.
-    """
-    subset = tuple(sorted(members))
-    if len(set(subset)) != len(subset):
-        raise ValueError(f"duplicate members in {subset}")
-    if subset and (subset[0] < 1 or subset[-1] > scheme.n):
-        raise ValueError(f"members must lie in 1..{scheme.n}, got {subset}")
-    rows = _rows(scheme)
-    if gf2_in_span(1 << scheme.m, [rows[i - 1] for i in subset]):
-        return SubsetStatus.QUALIFIED
-    return SubsetStatus.UNQUALIFIED
-
-
-def realizes_threshold(scheme: LinearScheme, k: int) -> bool:
-    """True when qualified subsets are exactly those of size >= k."""
-    return _threshold_rows(_rows(scheme), scheme.m, k)
-
-
 def _threshold_rows(rows: Sequence[int], m: int, k: int) -> bool:
-    # realizes_threshold on the (a | b) row ints of _rows, a the top bit.
+    # Whether exactly the subsets of size >= k are Qualified: the secret
+    # functional (1 | 0) lies in the GF(2) span of their (a | b) row ints,
+    # a the top bit, so some sum of their shares equals s.
     return all(
         gf2_in_span(1 << m, combo) == (size >= k)
         for size in range(1, len(rows) + 1)
         for combo in itertools.combinations(rows, size)
     )
-
-
-def _rows(scheme: LinearScheme) -> list[int]:
-    # Each share vector (a | b_1..b_m) as a bitmask int with a as the top bit.
-    return [sum(bit << (scheme.m - c) for c, bit in enumerate(vec)) for vec in scheme.vectors]
 
 
 @dataclass(frozen=True)
@@ -186,7 +153,7 @@ class _Counters:
 
 
 def _scheme_from_rows(rows: Sequence[int], m: int) -> LinearScheme:
-    # Inverse of _rows: row x is the vector (a, b_1..b_m), lexicographic in x.
+    # Row x is the vector (a, b_1..b_m), a the top bit of x, lexicographic in x.
     vectors = tuple(tuple((x >> (m - c)) & 1 for c in range(m + 1)) for x in rows)
     return LinearScheme(n=len(rows), m=m, vectors=vectors)
 

@@ -70,6 +70,9 @@ def read_state(path: str) -> PureState:
         raise ValueError(f"cannot read state file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"state file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # A RuntimeError, which main reports as a verification failure.
+        raise ValueError(f"state file {path} is nested too deeply: {exc}") from exc
     return state_from_document(doc)
 
 

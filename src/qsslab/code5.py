@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .symplectic import (  # noqa: F401
     STABILIZERS,
     DistanceReport,
     WeightCheck,
+    symplectic,
     verify_distance,
 )
 from .tolerances import NORM_ATOL
@@ -42,11 +42,11 @@ def encode_classical(s: int) -> PureState:
     if s not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {s!r}")
     if s == 1:
-        return PureState(5, _pauli_action(_pauli_masks([LOGICAL_X]), encode_classical(0).amplitudes)[0])
+        return PureState(5, _pauli_action(np.array([symplectic(LOGICAL_X)]), encode_classical(0).amplitudes)[0])
     word = np.zeros(32, dtype=complex)
     word[0] = 1.0
     for g in STABILIZERS + (LOGICAL_Z,):
-        word = (word + _pauli_action(_pauli_masks([g]), word)[0]) / 2
+        word = (word + _pauli_action(np.array([symplectic(g)]), word)[0]) / 2
     return PureState(5, word / np.linalg.norm(word))
 
 
@@ -84,34 +84,21 @@ def encode_quantum(secret: QubitSecret) -> PureState:
 
 #: i^k for k = 0..3, exact (1j ** 2 is not exactly -1 in floating point).
 _I_POWERS = np.array([1, 1j, -1, -1j])
-#: Parity of the set bits of every index of a state of at most five qubits.
-_PARITY = np.array([bin(b).count("1") & 1 for b in range(32)], dtype=np.int8)
+#: Number of set bits of every index of a state of at most five qubits.
+_POPCOUNT = np.array([b.bit_count() for b in range(32)], dtype=np.int8)
 
 
-#: (x mask, z mask, Y count) per operator: x marks the X and Y positions,
-#: z the Z and Y positions, big-endian like the basis.
-_Masks = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _pauli_masks(ops: Sequence[str]) -> _Masks:
-    """The masks of Pauli letter strings such as "XZZXI"."""
-    letters = np.array([list(op) for op in ops])
-    place = 1 << np.arange(letters.shape[1])[::-1]
-    is_y = letters == "Y"
-    return ((letters == "X") | is_y) @ place, ((letters == "Z") | is_y) @ place, is_y.sum(axis=1)
-
-
-def _pauli_action(masks: _Masks, amplitudes: np.ndarray) -> np.ndarray:
-    """E|psi> for every Pauli operator E in ``masks``, one row per operator.
+def _pauli_action(ops: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """E|psi> for every (x | z) int E in ``ops``, one row per operator.
 
     With Y = iXZ, every operator acts on a basis ket as
-    E|b> = i^{#Y} (-1)^{popcount(b & z)} |b ^ x>.
+    E|b> = i^{#Y} (-1)^{popcount(b & z)} |b ^ x>, where #Y = popcount(x & z).
     """
-    x, z, y_count = masks
+    x, z = ops >> 5, ops & 31
     # Row k, column c holds b = c ^ x_k, the basis ket E_k maps onto |c>.
     # Small integer types and in-place products keep the peak memory low.
     source = np.arange(amplitudes.size) ^ x[:, None]
     out = amplitudes[source]
-    out *= 1 - 2 * _PARITY[source & z[:, None]]
-    out *= _I_POWERS[y_count % 4][:, None]
+    out *= 1 - 2 * (_POPCOUNT[source & z[:, None]] & 1)
+    out *= _I_POWERS[_POPCOUNT[x & z] % 4][:, None]
     return out

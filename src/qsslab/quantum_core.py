@@ -23,20 +23,24 @@ from typing import Iterable
 
 import numpy as np
 
-# The whole tolerance table, so every name also resolves here.
-from .tolerances import (  # noqa: F401
+from .tolerances import (
     ENTROPY_EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
     NORM_ATOL,
     PSD_ATOL,
     STATE_NORM_ATOL,
-    VERDICT_ATOL,
 )
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _hermitian_within(m: np.ndarray, atol: float) -> bool:
+    # |m - m^H| <= atol, halved first: the difference of two finite entries
+    # near the float limit overflows, the difference of their halves cannot.
+    return bool(np.max(np.abs(m / 2 - m.conj().T / 2)) <= atol / 2)
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,8 @@ class DensityMatrix:
             raise ValueError(f"dimension must be a power of 2, got {dim}")
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        if not np.max(np.abs(m - m.conj().T)) <= NORM_ATOL:
-            raise ValueError("matrix is not Hermitian within 1e-12")
+        if not _hermitian_within(m, NORM_ATOL):
+            raise ValueError(f"matrix is not Hermitian within {NORM_ATOL:g}")
         tr = complex(np.trace(m))
         if not abs(tr - 1.0) <= NORM_ATOL:
             raise ValueError(f"trace must be 1, got {tr!r}")
@@ -237,15 +241,15 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (values, vectors) with real eigenvalues in descending order
     and orthonormal eigenvectors as matching columns. Raises ValueError
-    on a non-finite entry or a deviation from Hermitian above 1e-10.
+    on a non-finite entry or a deviation from Hermitian above HERMITIAN_ATOL.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_ATOL:
-        raise ValueError("matrix is not Hermitian within 1e-10")
+    if not _hermitian_within(m, HERMITIAN_ATOL):
+        raise ValueError(f"matrix is not Hermitian within {HERMITIAN_ATOL:g}")
     # Symmetrize away rounding noise so the rotations see an exact input.
     # Halving before adding is exact for normal floats and cannot overflow.
     h = m / 2.0 + m.conj().T / 2.0

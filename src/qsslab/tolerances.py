@@ -1,8 +1,8 @@
 """The tolerance table: every fixed numerical bound qsslab applies.
 
 Kept apart from the numeric modules so that pure-Python code (the
-distance certificate, the command line) can read it without numpy;
-``quantum_core`` imports the table back under the same names.
+distance certificate, the command line) can read it without numpy.
+Every module imports the bounds it applies from here.
 """
 
 #: Unit-norm / unit-trace / Hermitian tolerance for exact inputs and priors.

@@ -22,13 +22,13 @@ from qsslab.access_analysis import (
 )
 from qsslab.code5 import QubitSecret, encode_classical, encode_quantum
 from qsslab.quantum_core import (
-    VERDICT_ATOL,
     DensityMatrix,
     PureState,
     all_nonempty_subsets,
     reduced_state,
     share_block,
 )
+from qsslab.tolerances import VERDICT_ATOL
 
 PRIORS = [SecretPrior(0.5, 0.5), SecretPrior(0.3, 0.7), SecretPrior(0.01, 0.99)]
 

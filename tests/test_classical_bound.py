@@ -1,8 +1,9 @@
 """Tests for the classical share-size bound and the linear-scheme search.
 
-The subset-status check is validated against a semantic oracle: for small
-schemes we enumerate every (secret, randomness) pair and compare the
-actual share distributions, which must be identical (Unqualified) or
+The subset status the search decides, the secret functional in the GF(2)
+span of the subset's rows, is validated against a semantic oracle: for
+small schemes we enumerate every (secret, randomness) pair and compare
+the actual share distributions, which must be identical (Unqualified) or
 disjoint (Qualified).
 """
 
@@ -14,13 +15,11 @@ from qsslab import classical_bound, cli
 from qsslab.classical_bound import (
     LinearScheme,
     SearchReport,
-    SubsetStatus,
     ThresholdParams,
+    _threshold_rows,
     check_bound,
     gf2_in_span,
     gf2_rank,
-    realizes_threshold,
-    scheme_subset_status,
     search_linear_schemes,
 )
 
@@ -32,6 +31,17 @@ def random_scheme(rng, n: int, m: int) -> LinearScheme:
         tuple(int(rng.integers(2)) for _ in range(1 + m)) for _ in range(n)
     )
     return LinearScheme(n=n, m=m, vectors=vectors)
+
+
+def rows(scheme: LinearScheme) -> list[int]:
+    """Each share vector (a | b_1..b_m) as a bitmask int with a as the top bit."""
+    return [sum(bit << (scheme.m - c) for c, bit in enumerate(vec)) for vec in scheme.vectors]
+
+
+def is_qualified(scheme: LinearScheme, members) -> bool:
+    """Whether the secret functional (1 | 0) lies in the span of the members' rows."""
+    share_rows = rows(scheme)
+    return gf2_in_span(1 << scheme.m, [share_rows[i - 1] for i in members])
 
 
 def evaluate_shares(scheme: LinearScheme, s: int, randomness) -> tuple[int, ...]:
@@ -97,12 +107,11 @@ def reference_search(n: int, k: int, m_max: int, prune: bool) -> SearchReport:
                 witness = None
                 if depth == n - 1:
                     counts["schemes"] += 1
-                    vectors = tuple(
-                        tuple((v >> (m - c)) & 1 for c in range(m + 1)) for v in assigned
-                    )
-                    scheme = LinearScheme(n=n, m=m, vectors=vectors)
-                    if realizes_threshold(scheme, k):
-                        witness = scheme
+                    if _threshold_rows(assigned, m, k):
+                        vectors = tuple(
+                            tuple((v >> (m - c)) & 1 for c in range(m + 1)) for v in assigned
+                        )
+                        witness = LinearScheme(n=n, m=m, vectors=vectors)
                 else:
                     witness = dfs(depth + 1)
                 assigned.pop()
@@ -195,19 +204,15 @@ class TestLinearScheme:
 
 class TestSubsetStatus:
     def test_xor_pair_is_qualified(self):
-        assert scheme_subset_status(XOR_SCHEME, (1, 2)) is SubsetStatus.QUALIFIED
+        assert is_qualified(XOR_SCHEME, (1, 2))
 
     def test_xor_singleton_is_unqualified(self):
-        assert scheme_subset_status(XOR_SCHEME, (1,)) is SubsetStatus.UNQUALIFIED
-        assert scheme_subset_status(XOR_SCHEME, (2,)) is SubsetStatus.UNQUALIFIED
+        assert not is_qualified(XOR_SCHEME, (1,))
+        assert not is_qualified(XOR_SCHEME, (2,))
 
     def test_zero_vectors_are_unqualified(self):
         scheme = LinearScheme(n=3, m=2, vectors=((0, 0, 0), (0, 0, 0), (1, 1, 0)))
-        assert scheme_subset_status(scheme, (1, 2)) is SubsetStatus.UNQUALIFIED
-
-    def test_out_of_range_member(self):
-        with pytest.raises(ValueError, match="1..2"):
-            scheme_subset_status(XOR_SCHEME, (1, 3))
+        assert not is_qualified(scheme, (1, 2))
 
     @pytest.mark.parametrize("n, m", [(2, 0), (3, 2), (4, 3)])
     def test_status_matches_distribution_oracle(self, n, m):
@@ -219,8 +224,7 @@ class TestSubsetStatus:
             for size in range(n + 1):
                 for members in itertools.combinations(range(1, n + 1), size):
                     dist0, dist1 = share_distributions(scheme, members)
-                    status = scheme_subset_status(scheme, members)
-                    if status is SubsetStatus.UNQUALIFIED:
+                    if not is_qualified(scheme, members):
                         assert dist0 == dist1
                     else:
                         assert not set(dist0) & set(dist1)
@@ -235,7 +239,7 @@ class TestSubsetStatus:
                 members
                 for size in (1, 2, 3, 4)
                 for members in itertools.combinations((1, 2, 3, 4), size)
-                if scheme_subset_status(scheme, members) is SubsetStatus.QUALIFIED
+                if is_qualified(scheme, members)
             }
             for members in qualified:
                 for extra in set((1, 2, 3, 4)) - set(members):
@@ -256,7 +260,7 @@ class TestSubsetStatus:
             }
             for k in range(1, n + 1):
                 expected = all(q == (len(members) >= k) for members, q in qualified.items())
-                assert realizes_threshold(scheme, k) == expected
+                assert _threshold_rows(rows(scheme), m, k) == expected
                 realized += expected
         assert realized > 0
 
@@ -267,13 +271,13 @@ class TestSearch:
         assert report.found
         assert report.witness is not None
         assert report.witness.vectors == ((0, 1), (1, 1))
-        assert realizes_threshold(report.witness, 2)
+        assert _threshold_rows(rows(report.witness), report.witness.m, 2)
         assert report.assignments_tried > 0
 
     def test_three_of_three_exists(self):
         report = search_linear_schemes(3, 3, 3)
         assert report.found
-        assert realizes_threshold(report.witness, 3)
+        assert _threshold_rows(rows(report.witness), report.witness.m, 3)
 
     def test_no_randomness_enumerates_eight_schemes(self):
         report = search_linear_schemes(3, 2, 0, prune=False)

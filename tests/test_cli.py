@@ -261,6 +261,16 @@ class TestReconstructCommand:
         assert run("reconstruct", "--state", str(bad), "--members", "1,2,3") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_nested_state_file_fails(self, tmp_path, capsys):
+        # The JSON decoder raises RecursionError, a RuntimeError, on this file.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert run("reconstruct", "--state", str(path), "--members", "1,2,3") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: state file {path} is nested too deeply")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "field, value",
         [("format", True), ("format", 1.0), ("num_qubits", 5.5), ("num_qubits", "5")],

@@ -17,9 +17,7 @@ from qsslab.code5 import (
     DistanceReport,
     QubitSecret,
     WeightCheck,
-    _Masks,
     _pauli_action,
-    _pauli_masks,
     encode_classical,
     encode_quantum,
     verify_distance,
@@ -67,7 +65,7 @@ def table_word(s: int) -> np.ndarray:
 
 
 def act(letters: str, amplitudes: np.ndarray) -> np.ndarray:
-    return _pauli_action(_pauli_masks([letters]), amplitudes)[0]
+    return _pauli_action(np.array([symplectic(letters)]), amplitudes)[0]
 
 
 def reference_operators(weight: int) -> list[str]:
@@ -80,20 +78,14 @@ def reference_operators(weight: int) -> list[str]:
     ]
 
 
-def weight_masks(weight: int) -> _Masks:
-    """Masks of the five-qubit operators of one weight, in the order
+def weight_masks(weight: int) -> np.ndarray:
+    """(x | z) ints of the five-qubit operators of one weight, in the order
     combinations(range(5), weight) x product("XYZ"); digits 0, 1, 2 = X, Y, Z."""
     place = 1 << (4 - np.array(list(itertools.combinations(range(5), weight))))
     digit = np.arange(3**weight)[:, None] // 3 ** np.arange(weight - 1, -1, -1) % 3
     x = ((digit < 2) * place[:, None]).sum(axis=2).ravel()
     z = ((digit > 0) * place[:, None]).sum(axis=2).ravel()
-    return x, z, np.tile((digit == 1).sum(axis=1), len(place))
-
-
-def pauli_string(masks: _Masks, k: int) -> str:
-    # The letters of five-qubit operator k: the inverse of _pauli_masks.
-    x, z = int(masks[0][k]), int(masks[1][k])
-    return "".join("IXZY"[(x >> q & 1) + 2 * (z >> q & 1)] for q in range(4, -1, -1))
+    return x << 5 | z
 
 
 def dense_verify_distance(max_weight: int, tolerance: float) -> DistanceReport:
@@ -112,11 +104,11 @@ def dense_verify_distance(max_weight: int, tolerance: float) -> DistanceReport:
         checks.append(
             WeightCheck(
                 weight=weight,
-                operators_checked=masks[0].size,
+                operators_checked=masks.size,
                 max_off_diagonal=float(off.max()),
                 max_diagonal_difference=float(diag_diff.max()),
                 violations=violating.size,
-                first_violation=pauli_string(masks, violating[0]) if violating.size else None,
+                first_violation=pauli_letters(int(masks[violating[0]])) if violating.size else None,
             )
         )
     return DistanceReport(max_weight=max_weight, tolerance=tolerance, checks=tuple(checks))
@@ -298,7 +290,7 @@ class TestPauliAction:
         psi = random_state(rng)
         letters_pool = list(itertools.product("IXYZ", repeat=5))
         ops = ["".join(letters_pool[rng.integers(len(letters_pool))]) for _ in range(40)]
-        rows = _pauli_action(_pauli_masks(ops), psi.amplitudes)
+        rows = _pauli_action(np.array([symplectic(op) for op in ops]), psi.amplitudes)
         for letters, row in zip(ops, rows):
             np.testing.assert_allclose(row, pauli_matrix(letters) @ psi.amplitudes, atol=1e-12)
 
@@ -318,21 +310,17 @@ class TestPauliAction:
 
 
 class TestScanMasks:
-    """The integer-built masks of the dense scan against the string generation."""
+    """The integer-built (x | z) ints of the dense scan against the string generation."""
 
     @pytest.mark.parametrize("weight", range(1, 6))
     def test_same_masks_in_the_same_order(self, weight):
         ops = reference_operators(weight)
-        masks = weight_masks(weight)
-        for got, want in zip(masks, _pauli_masks(ops), strict=True):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        assert weight_masks(weight).tolist() == [symplectic(op) for op in ops]
 
     @pytest.mark.parametrize("weight", range(1, 6))
     def test_letters_round_trip(self, weight):
         ops = reference_operators(weight)
-        masks = weight_masks(weight)
-        assert [pauli_string(masks, k) for k in range(len(ops))] == ops
+        assert [pauli_letters(p) for p in weight_masks(weight).tolist()] == ops
 
 
 #: Tolerances around every value the matrix elements take (0, 1 and 2).

@@ -26,7 +26,6 @@ PUBLIC = [
     "QubitSecret",
     "SearchReport",
     "SecretPrior",
-    "SubsetStatus",
     "SubsetVerdict",
     "ThresholdParams",
     "UNIFORM_PRIOR",
@@ -42,11 +41,9 @@ PUBLIC = [
     "gf2_rank",
     "hermitian_eig",
     "holevo_information",
-    "realizes_threshold",
     "reconstruct_classical",
     "reconstruct_quantum",
     "reduced_state",
-    "scheme_subset_status",
     "search_linear_schemes",
     "share_subset",
     "trace_distance",
@@ -55,7 +52,8 @@ PUBLIC = [
     "von_neumann_entropy",
 ]
 #: The amplitude-table and Pauli-object API: the code words come from the
-#: stabilizer generators, and Pauli strings go through one private kernel.
+#: stabilizer generators, and Pauli strings go through one private kernel on
+#: (x | z) ints. The subset-status API: the search decides status on row ints.
 REMOVED = (
     "CODE_TABLE",
     "CodeTable",
@@ -63,6 +61,10 @@ REMOVED = (
     "WORD_TERMS_1",
     "PauliOperator",
     "apply_pauli",
+    "_pauli_masks",
+    "SubsetStatus",
+    "realizes_threshold",
+    "scheme_subset_status",
 )
 
 

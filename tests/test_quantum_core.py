@@ -332,6 +332,34 @@ class TestEigensolver:
         np.testing.assert_allclose(ours, reference, atol=1e-10)
 
 
+#: Matrices whose m - m^H overflows although every entry is finite.
+NEAR_LIMIT_NON_HERMITIAN = {
+    "real": np.array([[0.0, 1e308], [-1e308, 0.0]]),
+    "unit-trace": np.array([[0.5, 1e308], [-1e308, 0.5]]),
+    "complex": np.array([[0.0, complex(1.7e308, 1.7e308)], [complex(-1.7e308, 1.7e308), 0.0]]),
+}
+
+
+class TestHermitianCheck:
+    """Both Hermitian checks: one decision, one message built from the tolerance table."""
+
+    @pytest.mark.parametrize("check, atol", [(hermitian_eig, "1e-10"), (DensityMatrix, "1e-12")])
+    @pytest.mark.parametrize("name", NEAR_LIMIT_NON_HERMITIAN)
+    def test_rejects_near_the_float_limit_without_overflow(self, check, atol, name):
+        # The suite turns RuntimeWarning into an error, so an overflow fails here.
+        with pytest.raises(ValueError, match=rf"^matrix is not Hermitian within {atol}$"):
+            check(NEAR_LIMIT_NON_HERMITIAN[name])
+
+    @pytest.mark.parametrize("deviation, accepted", [(1e-10, True), (2e-10, False)])
+    def test_tolerance_is_inclusive(self, deviation, accepted):
+        matrix = np.array([[0.0, deviation], [0.0, 0.0]])
+        if accepted:
+            hermitian_eig(matrix)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                hermitian_eig(matrix)
+
+
 class TestEntropy:
     def test_maximally_mixed_qubit(self):
         assert von_neumann_entropy(DensityMatrix(np.eye(2) / 2)) == pytest.approx(1.0, abs=1e-12)
