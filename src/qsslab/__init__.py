@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 #: Defining module of every public name, in the order of ``__all__``.
 _MODULE_OF = {
     "AccessReport": "access_analysis",
-    "BoundReport": "classical_bound",
     "Classification": "access_analysis",
     "ClassicalReconstruction": "access_analysis",
     "DensityMatrix": "quantum_core",
@@ -24,12 +23,10 @@ _MODULE_OF = {
     "SearchReport": "classical_bound",
     "SecretPrior": "access_analysis",
     "SubsetVerdict": "access_analysis",
-    "ThresholdParams": "classical_bound",
     "UNIFORM_PRIOR": "access_analysis",
     "UnqualifiedSubsetError": "access_analysis",
     "access_structure_report": "access_analysis",
     "all_nonempty_subsets": "quantum_core",
-    "check_bound": "classical_bound",
     "classify_subset": "access_analysis",
     "codeword_reductions": "access_analysis",
     "encode_classical": "code5",
@@ -42,6 +39,7 @@ _MODULE_OF = {
     "reconstruct_quantum": "access_analysis",
     "reduced_state": "quantum_core",
     "search_linear_schemes": "classical_bound",
+    "share_size_bound": "classical_bound",
     "share_subset": "quantum_core",
     "trace_distance": "quantum_core",
     "trace_norm": "quantum_core",

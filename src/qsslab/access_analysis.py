@@ -34,7 +34,7 @@ from .quantum_core import (
     trace_norm,
     von_neumann_entropy,
 )
-from .tolerances import ENTROPY_EIGENVALUE_FLOOR, NORM_ATOL, VERDICT_ATOL
+from .tolerances import NORM_ATOL, VERDICT_ATOL
 
 
 class UnqualifiedSubsetError(ValueError):
@@ -71,15 +71,6 @@ class SecretPrior:
     @classmethod
     def from_q0(cls, q0: float) -> "SecretPrior":
         return cls(q0, 1.0 - q0)
-
-    @property
-    def entropy_bits(self) -> float:
-        """Binary entropy H(q0) in bits."""
-        total = 0.0
-        for q in (self.q0, self.q1):
-            if q > ENTROPY_EIGENVALUE_FLOOR:
-                total -= q * math.log2(q)
-        return total
 
 
 UNIFORM_PRIOR = SecretPrior(0.5, 0.5)

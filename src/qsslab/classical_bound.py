@@ -45,49 +45,16 @@ def _gf2_reduce(vec: int, pivots: dict[int, int]) -> int:
     return vec
 
 
-@dataclass(frozen=True)
-class ThresholdParams:
-    """Parameters of a candidate (k, n) threshold scheme."""
+def share_size_bound(n: int, k: int) -> int:
+    """The n - k + 2 lower bound on the mean share-alphabet size.
 
-    n: int
-    k: int
-    share_sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        sizes = tuple(self.share_sizes)
-        if len(sizes) != self.n:
-            raise ValueError(f"need {self.n} share sizes, got {len(sizes)}")
-        if any(size < 2 for size in sizes):
-            raise ValueError("every share alphabet must have size >= 2")
-        object.__setattr__(self, "share_sizes", sizes)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Arithmetic check of average share size against n - k + 2."""
-
-    params: ThresholdParams
-    average_share_size: float
-    required: int
-    satisfied: bool
-
-
-def check_bound(params: ThresholdParams) -> BoundReport:
-    """Compare the mean share-alphabet size with the n - k + 2 lower bound.
-
-    A violated bound means a perfect (k, n) threshold scheme with these
-    classical share sizes cannot exist (meaningful for k >= 2).
+    A perfect (k, n) threshold scheme whose shares average fewer symbols
+    than this cannot exist (meaningful for k >= 2): 1-bit shares, an
+    alphabet of 2, fall short of 4 for (3, 5).
     """
-    average = sum(params.share_sizes) / params.n
-    required = params.n - params.k + 2
-    return BoundReport(
-        params=params,
-        average_share_size=average,
-        required=required,
-        satisfied=average >= required,
-    )
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return n - k + 2
 
 
 @dataclass(frozen=True)

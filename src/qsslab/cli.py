@@ -6,6 +6,9 @@ failure (a failed --expect check or any internal RuntimeError). All
 numeric table/csv output carries 15 significant digits; JSON uses exact
 round-trip floats.
 
+The certificates take no tolerance or bound flag: ``distance`` compares
+with VERDICT_ATOL, ``search-classical`` 1-bit shares with n - k + 2.
+
 The numeric modules, and with them numpy, are imported inside the
 subcommands that compute with them: ``distance``, ``search-classical``
 and ``--help`` run on pure-Python code alone (the symplectic distance
@@ -20,7 +23,7 @@ import sys
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .classical_bound import ThresholdParams, check_bound, search_linear_schemes
+from .classical_bound import search_linear_schemes, share_size_bound
 from .symplectic import verify_distance
 from .tolerances import VERDICT_ATOL
 
@@ -183,12 +186,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    tolerance = VERDICT_ATOL if args.tolerance is None else args.tolerance
-    report = verify_distance(args.max_weight, tolerance=tolerance)
+    report = verify_distance(args.max_weight)
     if args.format == "json":
         doc = {
             "max_weight": report.max_weight,
-            "tolerance": report.tolerance,
+            "tolerance": VERDICT_ATOL,
             "certified_distance": report.certified_distance,
             "weights": [asdict(c) for c in report.checks],
         }
@@ -226,6 +228,10 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     from .code5 import QubitSecret, encode_classical
     from .quantum_core import reduced_state
 
+    if (args.expect_alpha0 is None) != (args.expect_alpha1 is None):
+        raise ValueError("--expect-alpha0 and --expect-alpha1 must be given together")
+    if args.expect_secret is not None and args.expect_alpha0 is not None:
+        raise ValueError("give either --expect-secret or --expect-alpha0/1, not both")
     members = _parse_members(args.members)
     psi = read_state(args.state)
     if psi.num_qubits != 5:
@@ -245,10 +251,6 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
             "support_overlap": classical.support_overlap,
         }
     if args.mode in ("quantum", "both"):
-        if (args.expect_alpha0 is None) != (args.expect_alpha1 is None):
-            raise ValueError("--expect-alpha0 and --expect-alpha1 must be given together")
-        if args.expect_secret is not None and args.expect_alpha0 is not None:
-            raise ValueError("give either --expect-secret or --expect-alpha0/1, not both")
         secret = None
         if args.expect_secret is not None:
             secret = QubitSecret(1.0, 0.0) if args.expect_secret == 0 else QubitSecret(0.0, 1.0)
@@ -270,15 +272,17 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def _cmd_search_classical(args: argparse.Namespace) -> int:
     report = search_linear_schemes(args.n, args.k, args.max_rand, prune=not args.no_prune)
-    bound = check_bound(ThresholdParams(args.n, args.k, tuple([2] * args.n)))
+    required = share_size_bound(args.n, args.k)
+    average = 2.0  # 1-bit shares: every alphabet has two symbols
+    satisfied = average >= required
     if args.format == "json":
         doc = {
             "verdict": "found" if report.found else "none",
             "search": asdict(report),
             "bound": {
-                "average_share_size": bound.average_share_size,
-                "required": bound.required,
-                "satisfied": bound.satisfied,
+                "average_share_size": average,
+                "required": required,
+                "satisfied": satisfied,
             },
         }
         _emit(_dump_json(doc), args.out)
@@ -289,8 +293,8 @@ def _cmd_search_classical(args: argparse.Namespace) -> int:
             f"schemes completed: {report.schemes_completed}",
             f"pruned (small subset qualified): {report.pruned_small_qualified}",
             f"pruned (k-subset unqualified): {report.pruned_large_unqualified}",
-            f"share-size bound: average {_fmt(bound.average_share_size)} vs required {bound.required} -> "
-            + ("satisfied" if bound.satisfied else "violated"),
+            f"share-size bound: average {_fmt(average)} vs required {required} -> "
+            + ("satisfied" if satisfied else "violated"),
         ]
         if report.witness is not None:
             lines.append(f"witness vectors: {report.witness.vectors}")
@@ -320,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("distance", help="run the error-operator distance certification")
     p_dist.add_argument("--max-weight", type=int, default=3)
-    p_dist.add_argument("--tolerance", type=float, default=None)
     p_dist.add_argument("--expect", type=int, default=None, help="fail (exit 2) unless the certified distance matches")
     p_dist.add_argument("--format", choices=("json", "table"), default="table")
     p_dist.add_argument("--out", type=str, default=None)

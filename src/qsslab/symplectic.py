@@ -20,8 +20,10 @@ on the class of E:
 
 The certificate therefore reads the generators, not the words: each
 weight's tally visits only the elements of N(S) of that weight. The
-tests keep the dense scan, every operator applied to both words, as the
-oracle. This module does not import numpy.
+class values are exact, so the certificate compares them with the fixed
+VERDICT_ATOL and offers no tolerance to tune. The tests keep the dense
+scan, every operator applied to both words, as the oracle. This module
+does not import numpy.
 """
 
 from __future__ import annotations
@@ -99,12 +101,11 @@ class DistanceReport:
     """Outcome of the distance certificate over the weights 1..max_weight.
 
     An operator E violates the correctability conditions when
-    |<w0|E|w1>| or |<w0|E|w0> - <w1|E|w1>| exceeds the tolerance; the
+    |<w0|E|w1>| or |<w0|E|w0> - <w1|E|w1>| exceeds VERDICT_ATOL; the
     certified distance is the smallest weight where that happens.
     """
 
     max_weight: int
-    tolerance: float
     checks: tuple[WeightCheck, ...]
 
     @property
@@ -115,12 +116,8 @@ class DistanceReport:
                 return check.weight
         return None
 
-    def passes_through_weight(self, weight: int) -> bool:
-        """True when every operator of weight <= ``weight`` is clean."""
-        return all(c.violations == 0 for c in self.checks if c.weight <= weight)
 
-
-def verify_distance(max_weight: int, tolerance: float = VERDICT_ATOL) -> DistanceReport:
+def verify_distance(max_weight: int) -> DistanceReport:
     """Certify every Pauli operator of weight 1..max_weight against the code.
 
     Weight w has C(5, w) 3^w operators, ordered as
@@ -131,13 +128,11 @@ def verify_distance(max_weight: int, tolerance: float = VERDICT_ATOL) -> Distanc
     """
     if not 1 <= max_weight <= 5:
         raise ValueError(f"max_weight must be in 1..5, got {max_weight}")
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     table = normalizer()
     checks = []
     for weight in range(1, max_weight + 1):
         elements = table[weight]
-        violating = [letters for letters, off, diag in elements if off > tolerance or diag > tolerance]
+        violating = [letters for letters, off, diag in elements if max(off, diag) > VERDICT_ATOL]
         checks.append(
             WeightCheck(
                 weight=weight,
@@ -148,4 +143,4 @@ def verify_distance(max_weight: int, tolerance: float = VERDICT_ATOL) -> Distanc
                 first_violation=violating[0] if violating else None,
             )
         )
-    return DistanceReport(max_weight=max_weight, tolerance=tolerance, checks=tuple(checks))
+    return DistanceReport(max_weight=max_weight, checks=tuple(checks))

@@ -13,7 +13,7 @@ STATE_NORM_ATOL = 1e-9
 PSD_ATOL = 1e-10
 #: Hermiticity tolerance accepted by the eigensolver.
 HERMITIAN_ATOL = 1e-10
-#: Eigenvalues (and prior probabilities) below this add nothing to entropy.
+#: Eigenvalues below this add nothing to entropy.
 ENTROPY_EIGENVALUE_FLOOR = 1e-12
 #: Deviation a verdict allows: subset classification and the distance certificate.
 VERDICT_ATOL = 1e-9

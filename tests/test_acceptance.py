@@ -21,11 +21,7 @@ from qsslab.access_analysis import (
     reconstruct_classical,
     reconstruct_quantum,
 )
-from qsslab.classical_bound import (
-    ThresholdParams,
-    check_bound,
-    search_linear_schemes,
-)
+from qsslab.classical_bound import search_linear_schemes, share_size_bound
 from qsslab.code5 import QubitSecret, encode_classical, encode_quantum, verify_distance
 from qsslab.quantum_core import (
     DensityMatrix,
@@ -121,11 +117,10 @@ def test_criterion_3_threshold_structure():
 
 
 def test_criterion_4_distance_certificate():
-    report = verify_distance(3, tolerance=TOL)
-    low_weights_clean = report.passes_through_weight(2)
+    report = verify_distance(3)
     weight3 = report.checks[-1]
     ok = (
-        low_weights_clean
+        verify_distance(2).certified_distance is None
         and weight3.violations >= 1
         and report.certified_distance == 3
     )
@@ -192,7 +187,7 @@ def test_criterion_7_classical_contrast():
     positive = search_linear_schemes(2, 2, 2)
     positive_elapsed = time.perf_counter() - start
 
-    bound = check_bound(ThresholdParams(5, 3, (2, 2, 2, 2, 2)))
+    required = share_size_bound(5, 3)
     ok = (
         not negative.found
         and negative.assignments_tried > 0
@@ -200,9 +195,7 @@ def test_criterion_7_classical_contrast():
         and positive.found
         and positive.witness is not None
         and positive_elapsed < 1.0
-        and not bound.satisfied
-        and bound.average_share_size == 2
-        and bound.required == 4
+        and required == 4 > 2
     )
     _criterion(
         "criterion 7: classical contrast (no linear (3,5) scheme; XOR witness; bound)",

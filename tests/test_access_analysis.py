@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qsslab.access_analysis import (
     Classification,
     SecretPrior,
-    UNIFORM_PRIOR,
     UnqualifiedSubsetError,
     _recovery_kraus,
     access_structure_report,
@@ -31,6 +30,11 @@ from qsslab.quantum_core import (
 from qsslab.tolerances import VERDICT_ATOL
 
 PRIORS = [SecretPrior(0.5, 0.5), SecretPrior(0.3, 0.7), SecretPrior(0.01, 0.99)]
+
+
+def binary_entropy(q: float) -> float:
+    """H(q) = -q log2 q - (1 - q) log2(1 - q) in bits, with 0 log 0 = 0."""
+    return -sum(p * math.log2(p) for p in (q, 1.0 - q) if p > 0)
 
 
 def random_secret(rng: np.random.Generator) -> QubitSecret:
@@ -60,13 +64,6 @@ class TestSecretPrior:
     def test_negative_zero_is_stored_as_zero(self):
         for prior in (SecretPrior.from_q0(-0.0), SecretPrior(1.0, -0.0)):
             assert math.copysign(1.0, prior.q0) == math.copysign(1.0, prior.q1) == 1.0
-
-    def test_entropy_bits(self):
-        assert UNIFORM_PRIOR.entropy_bits == pytest.approx(1.0, abs=1e-12)
-        assert SecretPrior(0.3, 0.7).entropy_bits == pytest.approx(
-            0.8812908992306927, abs=1e-12
-        )
-        assert SecretPrior(1.0, 0.0).entropy_bits == 0.0
 
 
 class TestHolevoInformation:
@@ -122,7 +119,7 @@ class TestAccessReport:
 
     def test_skewed_prior_same_classification_scaled_holevo(self):
         report = access_structure_report(SecretPrior(0.3, 0.7))
-        expected_bits = SecretPrior(0.3, 0.7).entropy_bits
+        expected_bits = binary_entropy(0.3)
         for verdict in report.verdicts:
             if verdict.classification is Classification.QUALIFIED:
                 assert verdict.holevo_bits == pytest.approx(expected_bits, abs=1e-9)
@@ -150,7 +147,7 @@ class TestAccessReport:
 class TestSecurityProperties:
     def test_holevo_within_bounds_for_all_priors(self):
         for prior in PRIORS:
-            bound = prior.entropy_bits
+            bound = binary_entropy(prior.q0)
             for subset in all_nonempty_subsets(5):
                 value = holevo_information(subset, prior)
                 assert -1e-9 <= value <= bound + 1e-9
@@ -400,4 +397,4 @@ class TestRandomPriorProperties:
     def test_qualified_holevo_equals_prior_entropy(self, q0):
         prior = SecretPrior.from_q0(q0)
         for members in QUALIFIED:
-            assert abs(holevo_information(members, prior) - prior.entropy_bits) <= VERDICT_ATOL
+            assert abs(holevo_information(members, prior) - binary_entropy(q0)) <= VERDICT_ATOL

@@ -15,12 +15,11 @@ from qsslab import classical_bound, cli
 from qsslab.classical_bound import (
     LinearScheme,
     SearchReport,
-    ThresholdParams,
     _threshold_rows,
-    check_bound,
     gf2_in_span,
     gf2_rank,
     search_linear_schemes,
+    share_size_bound,
 )
 
 XOR_SCHEME = LinearScheme(n=2, m=1, vectors=((1, 1), (0, 1)))
@@ -162,30 +161,16 @@ class TestGF2:
         assert gf2_in_span(0, [])
 
 
-class TestCheckBound:
-    def test_three_of_five_with_bits_is_violated(self):
-        report = check_bound(ThresholdParams(5, 3, (2, 2, 2, 2, 2)))
-        assert report.average_share_size == 2
-        assert report.required == 4
-        assert not report.satisfied
+class TestShareSizeBound:
+    def test_three_of_five_needs_more_than_bits(self):
+        assert share_size_bound(5, 3) == 4
 
-    def test_large_alphabets_satisfy(self):
-        report = check_bound(ThresholdParams(5, 3, (8, 8, 8, 8, 8)))
-        assert report.satisfied
+    def test_two_of_two_needs_bits(self):
+        assert share_size_bound(2, 2) == 2
 
-    def test_two_of_two_with_bits_is_satisfied(self):
-        report = check_bound(ThresholdParams(2, 2, (2, 2)))
-        assert report.average_share_size == 2
-        assert report.required == 2
-        assert report.satisfied
-
-    def test_param_validation(self):
+    def test_rejects_k_above_n(self):
         with pytest.raises(ValueError, match="k <= n"):
-            ThresholdParams(3, 4, (2, 2, 2))
-        with pytest.raises(ValueError, match="share sizes"):
-            ThresholdParams(3, 2, (2, 2))
-        with pytest.raises(ValueError, match=">= 2"):
-            ThresholdParams(2, 2, (2, 1))
+            share_size_bound(3, 4)
 
 
 class TestLinearScheme:
@@ -302,8 +287,7 @@ class TestSearch:
             for k in range(2, n + 1):
                 report = search_linear_schemes(n, k, 2)
                 if report.found:
-                    bound = check_bound(ThresholdParams(n, k, tuple([2] * n)))
-                    assert bound.satisfied, (n, k)
+                    assert 2 >= share_size_bound(n, k), (n, k)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="n must be"):

@@ -221,6 +221,13 @@ class TestDistanceCommand:
         text = capsys.readouterr().out
         assert "no violation up to weight 2" in text
 
+    def test_tolerance_flag_is_refused(self, capsys):
+        # The class values are exact: no flag may loosen the certificate.
+        with pytest.raises(SystemExit) as exc:
+            run("distance", "--tolerance", "2")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance 2" in capsys.readouterr().err
+
 
 class TestReconstructCommand:
     @pytest.fixture()
@@ -254,6 +261,26 @@ class TestReconstructCommand:
             "--mode", "quantum",
         ) == 1
         assert "unqualified" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--expect-alpha0", "1"], "error: --expect-alpha0 and --expect-alpha1 must be given together\n"),
+            (
+                ["--expect-secret", "1", "--expect-alpha0", "1", "--expect-alpha1", "0"],
+                "error: give either --expect-secret or --expect-alpha0/1, not both\n",
+            ),
+        ],
+        ids=["incomplete-pair", "conflicting"],
+    )
+    def test_classical_mode_checks_expect_flags(self, state_file, capsys, flags, message):
+        assert run(
+            "reconstruct", "--state", state_file, "--members", "1,2,3",
+            "--mode", "classical", *flags,
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
 
     def test_malformed_state_file_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 #: The public names, in the order ``__all__`` lists them.
 PUBLIC = [
     "AccessReport",
-    "BoundReport",
     "Classification",
     "ClassicalReconstruction",
     "DensityMatrix",
@@ -27,12 +26,10 @@ PUBLIC = [
     "SearchReport",
     "SecretPrior",
     "SubsetVerdict",
-    "ThresholdParams",
     "UNIFORM_PRIOR",
     "UnqualifiedSubsetError",
     "access_structure_report",
     "all_nonempty_subsets",
-    "check_bound",
     "classify_subset",
     "codeword_reductions",
     "encode_classical",
@@ -45,6 +42,7 @@ PUBLIC = [
     "reconstruct_quantum",
     "reduced_state",
     "search_linear_schemes",
+    "share_size_bound",
     "share_subset",
     "trace_distance",
     "trace_norm",
@@ -54,6 +52,7 @@ PUBLIC = [
 #: The amplitude-table and Pauli-object API: the code words come from the
 #: stabilizer generators, and Pauli strings go through one private kernel on
 #: (x | z) ints. The subset-status API: the search decides status on row ints.
+#: The general bound API: the bound is share_size_bound(n, k) = n - k + 2.
 REMOVED = (
     "CODE_TABLE",
     "CodeTable",
@@ -65,6 +64,9 @@ REMOVED = (
     "SubsetStatus",
     "realizes_threshold",
     "scheme_subset_status",
+    "ThresholdParams",
+    "BoundReport",
+    "check_bound",
 )
 
 
