@@ -350,6 +350,27 @@ class TestSymplecticLayer:
             assert indices == sorted(indices)
 
 
+class TestNormalizerClassValues:
+    """Each element of N(S), one case each, against np.kron matrices applied
+    to the textbook words: it commutes with every generator, and its
+    (off, diagdiff) are the values its class is labelled with."""
+
+    @pytest.mark.parametrize(
+        "letters, off, diag_diff",
+        [pytest.param(*element, id=element[0]) for elements in normalizer() for element in elements],
+    )
+    def test_element_matches_dense_values(self, letters, off, diag_diff):
+        matrix = pauli_matrix(letters)
+        for generator in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"):
+            g = pauli_matrix(generator)
+            np.testing.assert_allclose(matrix @ g, g @ matrix, atol=1e-12)
+        w0, w1 = table_word(0), table_word(1)
+        assert abs(np.vdot(w0, matrix @ w1)) == pytest.approx(off, abs=1e-12)
+        assert abs(np.vdot(w0, matrix @ w0) - np.vdot(w1, matrix @ w1)) == pytest.approx(
+            diag_diff, abs=1e-12
+        )
+
+
 class TestVerifyDistance:
     def test_weights_one_and_two_are_clean(self):
         report = verify_distance(2)
