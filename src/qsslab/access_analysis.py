@@ -192,17 +192,18 @@ def reconstruct_classical(
 ) -> ClassicalReconstruction:
     """Guess the classical secret from the shares in J.
 
-    Measures the projector onto the support of rho0^J against its
+    Measures the projector P onto the support of rho0^J against its
     complement and reports the induced guess together with the optimal
     (Helstrom) success probability (1/2)(1 + ||q0 rho0 - q1 rho1||_1).
+    A code word's reduction is flat, rho0^J = P / rank P (Gottesman,
+    arXiv quant-ph/9705052), so P = rho0 / tr(rho0^2) needs no eigenbasis.
     For a qualified J and an honestly encoded input the guess is certain.
     """
     members = share_subset(j)
     rho0, rho1 = codeword_reductions(members)
     if state.dim != rho0.dim:
         raise ValueError(f"state has dimension {state.dim}, expected {rho0.dim}")
-    projector = rho0.support_projector()
-    overlap = float(np.real(np.trace(projector @ state.matrix)))
+    overlap = float(np.vdot(rho0.matrix, state.matrix).real / np.vdot(rho0.matrix, rho0.matrix).real)
     guess = 0 if overlap >= 0.5 else 1
     success = 0.5 * (
         1.0 + trace_norm(prior.q0 * rho0.matrix - prior.q1 * rho1.matrix)

@@ -6,6 +6,10 @@ failure (a failed --expect check or any internal RuntimeError). All
 numeric table/csv output carries 15 significant digits; JSON uses exact
 round-trip floats.
 
+``reconstruct --expect-*`` exits 2, after writing its JSON, when the
+recovered state's fidelity with the expected secret is below 1 -
+VERDICT_ATOL; ``--mode classical`` recovers no state and refuses it.
+
 The certificates take no tolerance or bound flag: ``distance`` compares
 with VERDICT_ATOL, ``search-classical`` 1-bit shares with n - k + 2.
 
@@ -122,21 +126,26 @@ def _parse_members(text: str) -> tuple[int, ...]:
     return share_subset(members)
 
 
-def _cmd_encode(args: argparse.Namespace) -> int:
-    from .code5 import QubitSecret, encode_classical, encode_quantum
+def _secret(bit: Optional[int], alpha0: Optional[str], alpha1: Optional[str], flag: str):
+    """The QubitSecret given as ``--{flag}secret`` or ``--{flag}alpha0/1``, or None."""
+    from .code5 import QubitSecret
 
-    if args.alpha0 is not None or args.alpha1 is not None:
-        if args.secret is not None:
-            raise ValueError("give either --secret or --alpha0/--alpha1, not both")
-        if args.alpha0 is None or args.alpha1 is None:
-            raise ValueError("--alpha0 and --alpha1 must be given together")
-        secret = QubitSecret(_parse_complex(args.alpha0), _parse_complex(args.alpha1))
-        psi = encode_quantum(secret)
-    elif args.secret is not None:
-        psi = encode_classical(args.secret)
-    else:
+    if (alpha0 is None) != (alpha1 is None):
+        raise ValueError(f"--{flag}alpha0 and --{flag}alpha1 must be given together")
+    if bit is not None and alpha0 is not None:
+        raise ValueError(f"give either --{flag}secret or --{flag}alpha0/1, not both")
+    if alpha0 is not None:
+        return QubitSecret(_parse_complex(alpha0), _parse_complex(alpha1))
+    return None if bit is None else QubitSecret(float(bit == 0), float(bit == 1))
+
+
+def _cmd_encode(args: argparse.Namespace) -> int:
+    from .code5 import encode_quantum
+
+    secret = _secret(args.secret, args.alpha0, args.alpha1, "")
+    if secret is None:
         raise ValueError("encode needs --secret or --alpha0/--alpha1")
-    _emit(_dump_json(state_to_document(psi)), args.out)
+    _emit(_dump_json(state_to_document(encode_quantum(secret))), args.out)
     return 0
 
 
@@ -225,13 +234,12 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     from .access_analysis import SecretPrior, reconstruct_classical, reconstruct_quantum
-    from .code5 import QubitSecret, encode_classical
+    from .code5 import encode_classical
     from .quantum_core import reduced_state
 
-    if (args.expect_alpha0 is None) != (args.expect_alpha1 is None):
-        raise ValueError("--expect-alpha0 and --expect-alpha1 must be given together")
-    if args.expect_secret is not None and args.expect_alpha0 is not None:
-        raise ValueError("give either --expect-secret or --expect-alpha0/1, not both")
+    secret = _secret(args.expect_secret, args.expect_alpha0, args.expect_alpha1, "expect-")
+    if secret is not None and args.mode == "classical":
+        raise ValueError("--expect-* needs --mode quantum or both: classical mode recovers no state to check")
     members = _parse_members(args.members)
     psi = read_state(args.state)
     if psi.num_qubits != 5:
@@ -251,13 +259,6 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
             "support_overlap": classical.support_overlap,
         }
     if args.mode in ("quantum", "both"):
-        secret = None
-        if args.expect_secret is not None:
-            secret = QubitSecret(1.0, 0.0) if args.expect_secret == 0 else QubitSecret(0.0, 1.0)
-        elif args.expect_alpha0 is not None:
-            secret = QubitSecret(
-                _parse_complex(args.expect_alpha0), _parse_complex(args.expect_alpha1)
-            )
         quantum = reconstruct_quantum(members, rho, secret)
         doc["quantum"] = {
             "recovered": [
@@ -267,6 +268,9 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
             "fidelity": quantum.fidelity,
         }
     _emit(_dump_json(doc), args.out)
+    if secret is not None and not quantum.fidelity >= 1.0 - VERDICT_ATOL:
+        print(f"verification failed: fidelity {_fmt(quantum.fidelity)} < 1 - {VERDICT_ATOL:g}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -334,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--members", type=str, required=True, help="comma-separated share indices, e.g. 1,2,3")
     p_rec.add_argument("--prior", type=float, default=0.5)
     p_rec.add_argument("--mode", choices=("classical", "quantum", "both"), default="both")
-    p_rec.add_argument("--expect-secret", type=int, choices=(0, 1), default=None, help="report fidelity against |0> or |1>")
+    p_rec.add_argument("--expect-secret", type=int, choices=(0, 1), default=None, help="expected bit: fail (exit 2) on a fidelity below 1 - 1e-9")
     p_rec.add_argument("--expect-alpha0", type=str, default=None)
     p_rec.add_argument("--expect-alpha1", type=str, default=None)
     p_rec.add_argument("--out", type=str, default=None)

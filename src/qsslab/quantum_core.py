@@ -67,14 +67,6 @@ class PureState:
         amps /= math.sqrt(norm_sq)
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
-
-    def density(self) -> "DensityMatrix":
-        """Rank-1 projector |psi><psi|."""
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
         if self.num_qubits != other.num_qubits:
@@ -87,10 +79,10 @@ class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix on qubits.
 
     Validation checks positivity with LAPACK's ``eigvalsh``. The spectrum
-    and eigenbasis that entropy and support projections read come from
-    ``hermitian_eig``, run once per instance on first use and kept. Filling
-    them is deterministic, so instances stay safe to share across threads:
-    a race at worst computes the same read-only arrays twice.
+    that entropy reads comes from ``hermitian_eig``, run once per instance
+    on first use and kept; no caller reads an eigenbasis. Filling it is
+    deterministic, so instances stay safe to share across threads: a race
+    at worst computes the same read-only array twice.
     """
 
     matrix: np.ndarray
@@ -119,25 +111,9 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @functools.cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        values, vectors = hermitian_eig(self.matrix)
-        return _readonly(values), _readonly(vectors)
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum in descending order."""
-        return self._spectrum[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Orthonormal eigenvectors, column k matching eigenvalues[k]."""
-        return self._spectrum[1]
-
-    def support_projector(self) -> np.ndarray:
-        """Projector onto the span of eigenvectors with eigenvalue > PSD_ATOL."""
-        keep = self.eigenvalues > PSD_ATOL
-        v = self.eigenvectors[:, keep]
-        return v @ v.conj().T
+        return _readonly(hermitian_eig(self.matrix)[0])
 
 
 def share_subset(members: Iterable[int], num_qubits: int = 5) -> tuple[int, ...]:

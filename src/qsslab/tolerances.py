@@ -9,7 +9,7 @@ Every module imports the bounds it applies from here.
 NORM_ATOL = 1e-12
 #: Allowed deviation of |psi|^2 from 1; the amplitudes are then rescaled.
 STATE_NORM_ATOL = 1e-9
-#: Eigenvalues above this count as support; below -PSD_ATOL is an error.
+#: Positivity tolerance: an eigenvalue below -PSD_ATOL is an error.
 PSD_ATOL = 1e-10
 #: Hermiticity tolerance accepted by the eigensolver.
 HERMITIAN_ATOL = 1e-10

@@ -24,12 +24,15 @@ from qsslab.quantum_core import (
     DensityMatrix,
     PureState,
     all_nonempty_subsets,
+    hermitian_eig,
     reduced_state,
     share_block,
 )
-from qsslab.tolerances import VERDICT_ATOL
+from qsslab.tolerances import PSD_ATOL, VERDICT_ATOL
 
 PRIORS = [SecretPrior(0.5, 0.5), SecretPrior(0.3, 0.7), SecretPrior(0.01, 0.99)]
+#: Every code word on every nonempty subset: 2 x 31 reductions.
+CODEWORD_CASES = [(s, members) for members in all_nonempty_subsets(5) for s in (0, 1)]
 
 
 def binary_entropy(q: float) -> float:
@@ -41,6 +44,13 @@ def random_secret(rng: np.random.Generator) -> QubitSecret:
     a = rng.normal(size=2) + 1j * rng.normal(size=2)
     a /= np.linalg.norm(a)
     return QubitSecret(a[0], a[1])
+
+
+def eigenbasis_projector(rho: DensityMatrix) -> np.ndarray:
+    """Projector onto the eigenvectors of rho with eigenvalue above PSD_ATOL."""
+    values, vectors = hermitian_eig(rho.matrix)
+    v = vectors[:, values > PSD_ATOL]
+    return v @ v.conj().T
 
 
 class TestSecretPrior:
@@ -225,6 +235,36 @@ class TestReconstructClassical:
         rho = reduced_state(encode_classical(0), [1])
         with pytest.raises(ValueError, match="dimension"):
             reconstruct_classical([1, 2, 3], rho)
+
+
+class TestFlatReductionOracle:
+    """rho / tr(rho^2) is the support projector of a code word's reduction.
+
+    The oracle is the projector built from the eigensolver's eigenvectors,
+    which reconstruct_classical measured before it read the flat reduction.
+    """
+
+    @pytest.mark.parametrize("s, members", CODEWORD_CASES)
+    def test_flat_reduction_is_the_eigenbasis_projector(self, s, members):
+        rho = codeword_reductions(members)[s]
+        projector = rho.matrix / np.vdot(rho.matrix, rho.matrix).real
+        assert np.array_equal(projector @ projector, projector)
+        assert np.trace(projector) == {1: 2, 2: 4, 3: 4, 4: 2, 5: 1}[len(members)]
+        np.testing.assert_allclose(projector, eigenbasis_projector(rho), rtol=0, atol=1e-12)
+
+    def test_guess_and_overlap_match_the_eigenbasis_formula(self):
+        rng = np.random.default_rng(89)
+        subsets = all_nonempty_subsets(5)
+        projectors = {j: eigenbasis_projector(codeword_reductions(j)[0]) for j in subsets}
+        for _ in range(6):
+            psi = encode_quantum(random_secret(rng))
+            prior = SecretPrior.from_q0(float(rng.random()))
+            for j in subsets:
+                rho = reduced_state(psi, j)
+                overlap = float(np.real(np.trace(projectors[j] @ rho.matrix)))
+                result = reconstruct_classical(j, rho, prior)
+                assert result.guess == (0 if overlap >= 0.5 else 1)
+                assert abs(result.support_overlap - overlap) <= 1e-12
 
 
 class TestReconstructQuantum:

@@ -282,6 +282,48 @@ class TestReconstructCommand:
         assert captured.out == ""
         assert captured.err == message
 
+    @pytest.mark.parametrize("mode", ["quantum", "both"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--expect-secret", "0"], ["--expect-alpha0", "0.6", "--expect-alpha1", "0,0.8"]],
+        ids=["bit", "amplitudes"],
+    )
+    def test_expected_secret_mismatch_fails_with_2(self, state_file, capsys, mode, flags):
+        assert run(
+            "reconstruct", "--state", state_file, "--members", "1,2,3", "--mode", mode, *flags,
+        ) == 2
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["quantum"]["fidelity"] < 1.0 - 1e-9
+        assert captured.err.startswith("verification failed: fidelity ")
+        assert captured.err.count("\n") == 1
+
+    def test_expected_amplitudes_match(self, tmp_path, capsys):
+        path = tmp_path / "q.json"
+        assert run("encode", "--alpha0", "0.6", "--alpha1", "0,0.8", "--out", str(path)) == 0
+        assert run(
+            "reconstruct", "--state", str(path), "--members", "2,4,5", "--mode", "quantum",
+            "--expect-alpha0", "0.6", "--expect-alpha1", "0,0.8",
+        ) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["quantum"]["fidelity"] == pytest.approx(1.0, abs=1e-9)
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--expect-secret", "1"], ["--expect-alpha0", "0", "--expect-alpha1", "1"]],
+        ids=["bit", "amplitudes"],
+    )
+    def test_classical_mode_refuses_an_expected_secret(self, state_file, capsys, flags):
+        # Classical mode recovers no state, so nothing could be checked.
+        assert run(
+            "reconstruct", "--state", state_file, "--members", "1,2,3", "--mode", "classical", *flags,
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --expect-* needs --mode quantum or both")
+        assert captured.err.count("\n") == 1
+
     def test_malformed_state_file_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

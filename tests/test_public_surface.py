@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import qsslab
-from qsslab import classical_bound, code5
+from qsslab import classical_bound, cli, code5, quantum_core
 
 ROOT = Path(__file__).resolve().parents[1]
 #: The public names, in the order ``__all__`` lists them.
@@ -53,6 +53,7 @@ PUBLIC = [
 #: stabilizer generators, and Pauli strings go through one private kernel on
 #: (x | z) ints. The subset-status API: the search decides status on row ints.
 #: The general bound API: the bound is share_size_bound(n, k) = n - k + 2.
+#: The eigenbasis API: classical reconstruction reads the flat reduction.
 REMOVED = (
     "CODE_TABLE",
     "CodeTable",
@@ -67,6 +68,7 @@ REMOVED = (
     "ThresholdParams",
     "BoundReport",
     "check_bound",
+    "support_projector",
 )
 
 
@@ -88,6 +90,19 @@ def test_removed_name_is_gone(name):
 
 def test_linear_scheme_has_no_share_evaluator():
     assert not hasattr(classical_bound.LinearScheme, "shares")
+
+
+@pytest.mark.parametrize(
+    "cls, attribute",
+    [
+        (quantum_core.DensityMatrix, "eigenvectors"),
+        (quantum_core.DensityMatrix, "support_projector"),
+        (quantum_core.PureState, "density"),
+        (quantum_core.PureState, "dim"),
+    ],
+)
+def test_states_have_no_eigenbasis_or_density_api(cls, attribute):
+    assert not hasattr(cls, attribute)
 
 
 def test_all_lists_the_public_names_in_order():
@@ -112,7 +127,7 @@ def test_unknown_attribute_raises_attribute_error():
 def test_one_distance_certificate_behind_every_name():
     # A span tracer that patches the name in qsslab, code5 and cli sees every
     # call only while the three names bind one function.
-    assert qsslab.verify_distance is qsslab.code5.verify_distance is qsslab.cli.verify_distance
+    assert qsslab.verify_distance is code5.verify_distance is cli.verify_distance
 
 
 def run_fresh(code: str) -> tuple[str, bool]:

@@ -196,21 +196,14 @@ class TestDensityMatrix:
 
     def test_spectrum_is_read_only_and_from_the_eigensolver(self):
         rho = random_density(np.random.default_rng(5), 8)
-        values, vectors = hermitian_eig(rho.matrix)
+        values = hermitian_eig(rho.matrix)[0]
         assert rho.eigenvalues.tobytes() == values.tobytes()
-        assert rho.eigenvectors.tobytes() == vectors.tobytes()
         with pytest.raises(ValueError):
             rho.eigenvalues[0] = 0.0
-        with pytest.raises(ValueError):
-            rho.eigenvectors[0, 0] = 0.0
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of 2"):
             DensityMatrix(np.eye(3) / 3)
-
-    def test_support_projector_of_pure_state(self):
-        rho = PureState(1, np.array([1.0, 0.0])).density()
-        np.testing.assert_allclose(rho.support_projector(), np.diag([1.0, 0.0]), atol=1e-12)
 
 
 class TestShareSubsets:
@@ -365,7 +358,7 @@ class TestEntropy:
         assert von_neumann_entropy(DensityMatrix(np.eye(2) / 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_state_has_zero_entropy(self):
-        rho = PureState(2, np.array([0.5, 0.5, 0.5, 0.5])).density()
+        rho = DensityMatrix(np.outer([0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]))
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_two_qubits(self):
@@ -395,7 +388,7 @@ class TestTraceDistance:
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_vs_maximally_mixed(self):
-        pure = PureState(1, np.array([1.0, 0.0])).density()
+        pure = DensityMatrix(np.outer([1.0, 0.0], [1.0, 0.0]))
         mixed = DensityMatrix(np.eye(2) / 2)
         assert trace_distance(pure, mixed) == pytest.approx(0.5, abs=1e-12)
 
