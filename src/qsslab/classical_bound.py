@@ -50,7 +50,9 @@ def share_size_bound(n: int, k: int) -> int:
 
     A perfect (k, n) threshold scheme whose shares average fewer symbols
     than this cannot exist (meaningful for k >= 2): 1-bit shares, an
-    alphabet of 2, fall short of 4 for (3, 5).
+    alphabet of 2, fall short of 4 for (3, 5). For (3, 5) that case also
+    has an exact dual certificate, checked in
+    ``tests/test_classical_bound.py::TestDualCertificate``.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -76,11 +78,14 @@ class LinearScheme:
 def _threshold_rows(rows: Sequence[int], m: int, k: int) -> bool:
     # Whether exactly the subsets of size >= k are Qualified: the secret
     # functional (1 | 0) lies in the GF(2) span of their (a | b) row ints,
-    # a the top bit, so some sum of their shares equals s.
+    # a the top bit, so some sum of their shares equals s. Spans grow with
+    # subsets, so that holds exactly when the rows of every k-subset, and of
+    # no smaller subset, sum to the functional; sums[T] sums the rows in T.
+    sums = [0]
+    for row in rows:
+        sums += [row ^ s for s in sums]
     return all(
-        gf2_in_span(1 << m, combo) == (size >= k)
-        for size in range(1, len(rows) + 1)
-        for combo in itertools.combinations(rows, size)
+        (s == 1 << m) == (t.bit_count() == k) for t, s in enumerate(sums) if t.bit_count() <= k
     )
 
 
@@ -94,7 +99,11 @@ class SearchReport:
     small subset was already Qualified, respectively because a complete
     k-subset failed to qualify (both cuts are sound for the verdict). They
     are popcounts of bitmask candidate sets, equal to what a loop over the
-    candidates in order counts up to the one where a witness ends it.
+    candidates in order counts up to the one where a witness ends it. A
+    subtree that is searched once is not searched again for a share tuple
+    in the same orbit under the linear maps fixing the secret functional:
+    its recorded counts are added instead, so the counters still mean what
+    that loop counts.
     """
 
     n: int
@@ -118,11 +127,47 @@ class _Counters:
         self.small = 0
         self.large = 0
 
+    def snapshot(self) -> tuple[int, int, int, int]:
+        return self.assignments, self.schemes, self.small, self.large
+
+    def since(self, before: Sequence[int]) -> tuple[int, int, int, int]:
+        return (
+            self.assignments - before[0],
+            self.schemes - before[1],
+            self.small - before[2],
+            self.large - before[3],
+        )
+
+    def add(self, deltas: Sequence[int]) -> None:
+        self.assignments += deltas[0]
+        self.schemes += deltas[1]
+        self.small += deltas[2]
+        self.large += deltas[3]
+
 
 def _scheme_from_rows(rows: Sequence[int], m: int) -> LinearScheme:
     # Row x is the vector (a, b_1..b_m), a the top bit of x, lexicographic in x.
     vectors = tuple(tuple((x >> (m - c)) & 1 for c in range(m + 1)) for x in rows)
     return LinearScheme(n=len(rows), m=m, vectors=vectors)
+
+
+def _extend_index(index: dict[int, int], x: int, depth: int) -> dict[int, int]:
+    # index maps each subset sum s of the depth assigned shares to the
+    # bitmask of the subsets T with s_T == s (bit T, T a bitmask of shares).
+    # Appending share x adds T + {x} for every T: sum s_T ^ x, bit T + 2^depth.
+    child = dict(index)
+    for s, subsets in index.items():
+        child[s ^ x] = child.get(s ^ x, 0) | subsets << (1 << depth)
+    return child
+
+
+def _key_pair(index: dict[int, int], x: int, secret_vec: int) -> tuple[int, int]:
+    # What a new share x appends to its tuple's orbit key: the subsets T of
+    # the earlier shares with s_T == x, and those with s_T == x ^ secret_vec.
+    # The pairs list every linear relation among secret_vec and the shares
+    # under its last share, so two tuples share a key exactly when an
+    # invertible linear map fixing secret_vec sends one onto the other.
+    return index.get(x, 0), index.get(x ^ secret_vec, 0)
 
 
 def _search_fixed_m(
@@ -132,6 +177,10 @@ def _search_fixed_m(
     secret_vec = 1 << m  # (a=1, b=0): the functional picking out s itself
     bit = [1 << w for w in range(1 << (m + 1))]
     assigned: list[int] = []
+    # Counter increments of every witness-free subtree, by orbit key. A map
+    # fixing secret_vec preserves qualification and permutes the candidates,
+    # so a subtree's verdict and counts depend only on its tuple's orbit.
+    memo: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
 
     def coset(vectors: Sequence[int]) -> list[int]:
         # secret_vec ^ span(S): S + {x} is Qualified iff x lies in it, and
@@ -146,12 +195,15 @@ def _search_fixed_m(
         counters.small += (seen & forbidden).bit_count()
         counters.large += (seen & ~forbidden & ~required).bit_count()
 
-    def dfs(depth: int, forbidden: int, required: int) -> Optional[LinearScheme]:
+    def dfs(
+        depth: int, forbidden: int, required: int, index: dict[int, int], key: tuple[int, ...]
+    ) -> Optional[LinearScheme]:
         # When pruning, forbidden is the union of the cosets of all assigned
         # S with |S| <= k - 2, required the intersection over |S| = k - 1 (all
         # candidates until such S exist). Spans grow with subsets, so a child
         # adds only the cosets of the largest S + {x} that contain its new
-        # share x; the cosets of those S are built once per node.
+        # share x; the cosets of those S are built once per node. index holds
+        # the subset sums of the assigned shares, key their orbit key.
         allowed = required & ~forbidden
         inner = prune and allowed and depth < n - 1
         combos = itertools.combinations
@@ -161,6 +213,12 @@ def _search_fixed_m(
             low = allowed & -allowed
             allowed ^= low
             x = low.bit_length() - 1
+            child_key = key + _key_pair(index, x, secret_vec)
+            replay = memo.get(child_key)
+            if replay is not None:
+                counters.add(replay)
+                continue
+            before = counters.snapshot()
             if depth == n - 1:
                 counters.schemes += 1
                 rows = assigned + [x]
@@ -184,20 +242,22 @@ def _search_fixed_m(
                         mask |= bit[w] | bit[w ^ x]
                     child_required &= mask
                 assigned.append(x)
-                witness = dfs(depth + 1, child_forbidden, child_required)
+                child_index = _extend_index(index, x, depth)
+                witness = dfs(depth + 1, child_forbidden, child_required, child_index, child_key)
                 assigned.pop()
             if witness is not None:
                 # The loop stops at x: count only the candidates up to x.
                 count(forbidden, required, (low << 1) - 1)
                 return witness
+            memo[child_key] = counters.since(before)
         count(forbidden, required, everything)
         return None
 
     # Depth 0 starts from the empty subset's coset {secret_vec}: forbidden
     # for k >= 2, required for k = 1.
     if prune and k == 1:
-        return dfs(0, 0, bit[secret_vec])
-    return dfs(0, bit[secret_vec] if prune else 0, everything)
+        return dfs(0, 0, bit[secret_vec], {0: 1}, ())
+    return dfs(0, bit[secret_vec] if prune else 0, everything, {0: 1}, ())
 
 
 def search_linear_schemes(

@@ -8,17 +8,17 @@ by projection; each is 16 terms of +-1/4 in the computational basis.
 The generators and the distance certificate live in the numpy-free
 ``symplectic`` module, which reads the generators rather than the words;
 ``verify_distance``, ``WeightCheck`` and ``DistanceReport`` are imported
-here as part of the code's interface.
+here as part of the code's interface. numpy and ``quantum_core`` are
+imported by the functions that compute with them, so importing this module
+(and with it ``qsslab.verify_distance``) does not import numpy.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .quantum_core import PureState
 from .symplectic import (  # noqa: F401
     LOGICAL_X,
     LOGICAL_Z,
@@ -30,6 +30,11 @@ from .symplectic import (  # noqa: F401
 )
 from .tolerances import NORM_ATOL
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .quantum_core import PureState
+
 
 @functools.lru_cache(maxsize=2)
 def encode_classical(s: int) -> PureState:
@@ -39,6 +44,10 @@ def encode_classical(s: int) -> PureState:
     and for the logical Z, then normalized; w1 = XXXXX w0. Every step is
     exact in binary, so the amplitudes are exactly +-1/4 or 0.
     """
+    import numpy as np
+
+    from .quantum_core import PureState
+
     if s not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {s!r}")
     if s == 1:
@@ -58,6 +67,8 @@ class QubitSecret:
     alpha1: complex
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if not np.isfinite([self.alpha0, self.alpha1]).all():
             raise ValueError(f"secret amplitudes must be finite: {self}")
         # Products, not float ** 2, which raises OverflowError past 1e154.
@@ -66,6 +77,8 @@ class QubitSecret:
             raise ValueError(f"secret is not normalized: |alpha|^2 = {norm_sq!r}")
 
     def amplitudes(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.alpha0, self.alpha1], dtype=complex)
 
 
@@ -75,17 +88,13 @@ def encode_quantum(secret: QubitSecret) -> PureState:
     Linearity plus the orthogonality of the code words guarantees the
     result is unit norm.
     """
+    from .quantum_core import PureState
+
     amps = (
         secret.alpha0 * encode_classical(0).amplitudes
         + secret.alpha1 * encode_classical(1).amplitudes
     )
     return PureState(5, amps)
-
-
-#: i^k for k = 0..3, exact (1j ** 2 is not exactly -1 in floating point).
-_I_POWERS = np.array([1, 1j, -1, -1j])
-#: Number of set bits of every index of a state of at most five qubits.
-_POPCOUNT = np.array([b.bit_count() for b in range(32)], dtype=np.int8)
 
 
 def _pauli_action(ops: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -94,11 +103,17 @@ def _pauli_action(ops: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     With Y = iXZ, every operator acts on a basis ket as
     E|b> = i^{#Y} (-1)^{popcount(b & z)} |b ^ x>, where #Y = popcount(x & z).
     """
+    import numpy as np
+
+    # i^k for k = 0..3, exact (1j ** 2 is not exactly -1 in floating point),
+    # and the number of set bits of every index of a state of <= 5 qubits.
+    i_powers = np.array([1, 1j, -1, -1j])
+    popcount = np.array([b.bit_count() for b in range(32)], dtype=np.int8)
     x, z = ops >> 5, ops & 31
     # Row k, column c holds b = c ^ x_k, the basis ket E_k maps onto |c>.
     # Small integer types and in-place products keep the peak memory low.
     source = np.arange(amplitudes.size) ^ x[:, None]
     out = amplitudes[source]
-    out *= 1 - 2 * (_POPCOUNT[source & z[:, None]] & 1)
-    out *= _I_POWERS[_POPCOUNT[x & z] % 4][:, None]
+    out *= 1 - 2 * (popcount[source & z[:, None]] & 1)
+    out *= i_powers[popcount[x & z] % 4][:, None]
     return out

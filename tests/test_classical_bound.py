@@ -4,17 +4,24 @@ The subset status the search decides, the secret functional in the GF(2)
 span of the subset's rows, is validated against a semantic oracle: for
 small schemes we enumerate every (secret, randomness) pair and compare
 the actual share distributions, which must be identical (Unqualified) or
-disjoint (Qualified).
+disjoint (Qualified). ``TestDualCertificate`` checks, with exact
+arithmetic and no numpy, the dual certificate that no classical (3,5)
+scheme with 1-bit shares exists, linear or not.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsslab import classical_bound, cli
 from qsslab.classical_bound import (
     LinearScheme,
     SearchReport,
+    _extend_index,
+    _key_pair,
     _threshold_rows,
     gf2_in_span,
     gf2_rank,
@@ -314,6 +321,17 @@ class TestSearch:
             (2, 2, 2, True, (True, ((0, 1), (1, 1)), 14, 1, 4, 6)),
             # The paper's case: no linear (3,5) scheme with 1-bit shares.
             (5, 3, 5, True, (False, None, 556890, 0, 34194, 512724)),
+            (
+                5, 5, 5, True,
+                (
+                    True,
+                    ((0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 1, 1, 1, 1)),
+                    1406201, 1, 408319, 938441,
+                ),
+            ),
+            (5, 4, 5, True, (False, None, 30198720, 0, 4291428, 25408356)),
+            (5, 3, 3, False, (False, None, 1157354, 1082400, 0, 0)),
+            (4, 2, 5, False, (False, None, 18200874, 17895696, 0, 0)),
         ],
     )
     def test_report_fields_are_pinned(self, n, k, m_max, prune, expected):
@@ -348,3 +366,144 @@ class TestSearch:
         assert captured.out == ""
         assert captured.err.startswith("verification failure:")
         assert captured.err.count("\n") == 1
+
+
+def orbit_key(vectors, secret_vec: int) -> tuple[int, ...]:
+    """The search's memo key of a share tuple, built share by share as its DFS does."""
+    index, key = {0: 1}, ()
+    for depth, x in enumerate(vectors):
+        key += _key_pair(index, x, secret_vec)
+        index = _extend_index(index, x, depth)
+    return key
+
+
+def maps_fixing_secret(m: int) -> list[list[int]]:
+    """Every invertible linear map of GF(2)^(m+1) fixing 1 << m, as a table of images."""
+    dim = m + 1
+    maps = []
+    for images in itertools.product(range(1 << dim), repeat=dim):
+        if images[m] != 1 << m or gf2_rank(images) < dim:
+            continue
+        table = [0] * (1 << dim)
+        for v in range(1 << dim):
+            for j in range(dim):
+                if v >> j & 1:
+                    table[v] ^= images[j]
+        maps.append(table)
+    return maps
+
+
+class TestOrbitKey:
+    @pytest.mark.parametrize("m, size", [(0, 1), (1, 2), (2, 24)])
+    def test_maps_fixing_secret_are_the_stabilizer(self, m, size):
+        # |GL(m+1, 2)| divided by the 2^(m+1) - 1 nonzero vectors it permutes.
+        assert len(maps_fixing_secret(m)) == size
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_equal_keys_are_exactly_one_orbit(self, m, length):
+        maps = maps_fixing_secret(m)
+        pairs = {
+            (orbit_key(t, 1 << m), min(tuple(g[v] for v in t) for g in maps))
+            for t in itertools.product(range(1 << (m + 1)), repeat=length)
+        }
+        keys = {key for key, _ in pairs}
+        orbits = {orbit for _, orbit in pairs}
+        # A bijection between keys and orbits: equal keys <=> same orbit.
+        assert len(keys) == len(orbits) == len(pairs)
+
+
+#: Roots of the dual witness q(t) = (t - r1)(t - r2) for the (3,5) threshold.
+WITNESS_ROOTS = (3, 4)
+
+
+def witness(t: int) -> int:
+    return (t - WITNESS_ROOTS[0]) * (t - WITNESS_ROOTS[1])
+
+
+def walsh(f, u: int):
+    """Walsh coefficient of a function on 5-bit share vectors at u."""
+    return sum((-1) ** (u & x).bit_count() * f(x) for x in range(32))
+
+
+def low_degree_walsh_vanishes(f) -> bool:
+    """Whether f has no Walsh weight on degree <= 2: every 2-share marginal agrees."""
+    return all(walsh(f, u) == 0 for u in range(32) if u.bit_count() <= 2)
+
+
+def cross_distance_at_least_3(p0: dict, p1: dict) -> bool:
+    """Whether every 3 shares tell the supports apart: no two points agree on 3 bits."""
+    return all((a ^ b).bit_count() >= 3 for a in p0 for b in p1)
+
+
+def distribution(weights: dict) -> dict:
+    total = sum(weights.values())
+    return {x: Fraction(w, total) for x, w in weights.items()}
+
+
+class TestDualCertificate:
+    """No classical (3,5) scheme with 1-bit shares exists, for any randomness.
+
+    Let p0, p1 be the share distributions for s = 0, 1. Secrecy of every
+    pair makes the Walsh coefficients of p0 - p1 of degree <= 2 vanish;
+    recovery from every triple puts the supports at cross-distance >= 3.
+    For c in supp p0, f(x) = q(d(x, c)) with q(t) = (t - 3)(t - 4) has
+    degree 2, so <p0 - p1, f> = 0; q >= 0 on 0..5 and q(3) = q(4) = 0 give
+    12 p0(c) <= 2 p1(c^31), and from c^31: 12 p1(c^31) <= 2 p0(c), so
+    p0(c) = 0, a contradiction (Delsarte-style LP duality).
+    """
+
+    def test_witness_has_degree_two_at_every_centre(self):
+        for c in range(32):
+            f = lambda x, c=c: witness((x ^ c).bit_count())  # noqa: E731
+            degrees = {u.bit_count() for u in range(32) if walsh(f, u) != 0}
+            assert max(degrees) == 2, c
+
+    def test_witness_sign_pattern(self):
+        values = [witness(t) for t in range(6)]
+        assert values == [12, 6, 2, 0, 0, 2]
+        # What the argument uses: q >= 0 on 0..5, q vanishes at the
+        # cross-distances 3 and 4, and q(0) > q(5).
+        assert min(values) >= 0 and values[3] == values[4] == 0 and values[0] > values[5]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_separated_supports_break_pair_secrecy(self, data):
+        support0 = data.draw(st.sets(st.integers(0, 31), min_size=1, max_size=6))
+        far = [b for b in range(32) if all((a ^ b).bit_count() >= 3 for a in support0)]
+        assume(far)
+        support1 = data.draw(st.sets(st.sampled_from(far), min_size=1))
+        weight = st.integers(1, 20)
+        p0 = distribution({x: data.draw(weight) for x in sorted(support0)})
+        p1 = distribution({x: data.draw(weight) for x in sorted(support1)})
+        assert cross_distance_at_least_3(p0, p1)
+        diff = lambda x: p0.get(x, 0) - p1.get(x, 0)  # noqa: E731
+        assert not low_degree_walsh_vanishes(diff)
+        # The witness itself sees it, centred at c or at its complement.
+        for c in support0:
+            assert any(
+                sum(diff(x) * witness((x ^ centre).bit_count()) for x in range(32)) != 0
+                for centre in (c, c ^ 31)
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(st.integers(0, (2 << m) - 1), min_size=5, max_size=5))
+    ))
+    def test_linear_schemes_meet_the_certificate(self, case):
+        # For a linear scheme the certificate's two hypotheses are exactly
+        # the search's leaf test, which the certificate makes always false,
+        # as the search's "none" for (5, 3) reports up to m = 5.
+        m, share_rows = case
+        weights: list[dict] = [{}, {}]
+        for s in (0, 1):
+            for r in range(1 << m):
+                x = sum(((row >> m & s) ^ (row & r).bit_count()) % 2 << i for i, row in enumerate(share_rows))
+                weights[s][x] = weights[s].get(x, 0) + 1
+        p0, p1 = distribution(weights[0]), distribution(weights[1])
+        secret_pairs = low_degree_walsh_vanishes(lambda x: p0.get(x, 0) - p1.get(x, 0))
+        assert (secret_pairs and cross_distance_at_least_3(p0, p1)) == _threshold_rows(share_rows, m, 3)
+        assert not _threshold_rows(share_rows, m, 3)
+
+    def test_search_reports_none_for_three_of_five(self):
+        assert not search_linear_schemes(5, 3, 5).found

@@ -176,6 +176,23 @@ class TestImportBoundary:
         assert out == (ROOT / "perfbench" / "goldens" / "distance_w5.table").read_text()
         assert not numpy_imported
 
+    def test_library_certificates_leave_numpy_out(self):
+        out, numpy_imported = run_fresh(
+            "import qsslab\n"
+            "print(qsslab.verify_distance(5).certified_distance)\n"
+            "print(qsslab.search_linear_schemes(5, 3, 5).found)"
+        )
+        assert out == "3\nFalse\n"
+        assert not numpy_imported
+
+    def test_encode_quantum_imports_numpy(self):
+        out, numpy_imported = run_fresh(
+            "import qsslab\n"
+            "print(qsslab.encode_quantum(qsslab.QubitSecret(1, 0)).num_qubits)"
+        )
+        assert out == "5\n"
+        assert numpy_imported
+
     def test_report_imports_numpy(self):
         out, numpy_imported = run_fresh("from qsslab import cli\nassert cli.main(['report']) == 0")
         assert "threshold(3,5) structure: true" in out
