@@ -34,6 +34,7 @@ from .quantum_core import (
     trace_norm,
     von_neumann_entropy,
 )
+from .symplectic import holds_logical_z
 from .tolerances import NORM_ATOL, VERDICT_ATOL
 
 
@@ -178,7 +179,7 @@ def access_structure_report(prior: SecretPrior = UNIFORM_PRIOR) -> AccessReport:
 
 @dataclass(frozen=True)
 class ClassicalReconstruction:
-    """Outcome of measuring the code-word support projector on J."""
+    """Guess, exact optimal success and support overlap of the shares in J."""
 
     guess: int
     success_probability: float
@@ -192,22 +193,32 @@ def reconstruct_classical(
 ) -> ClassicalReconstruction:
     """Guess the classical secret from the shares in J.
 
-    Measures the projector P onto the support of rho0^J against its
-    complement and reports the induced guess together with the optimal
-    (Helstrom) success probability (1/2)(1 + ||q0 rho0 - q1 rho1||_1).
-    A code word's reduction is flat, rho0^J = P / rank P (Gottesman,
-    arXiv quant-ph/9705052), so P = rho0 / tr(rho0^2) needs no eigenbasis.
-    For a qualified J and an honestly encoded input the guess is certain.
+    When J holds a logical Z (``symplectic.holds_logical_z``), measuring
+    the projector P onto the support of rho0^J against its complement
+    reads the bit: the guess is 0 when tr(P rho) >= 1/2, and the optimal
+    success probability is exactly 1. A code word's reduction is flat,
+    rho0^J = P / rank P (Gottesman, arXiv quant-ph/9705052), so
+    P = rho0 / tr(rho0^2) needs no eigenbasis. Otherwise rho0^J = rho1^J,
+    so the best guess is the prior's majority bit (0 on a tie), right
+    with probability max(q0, q1). Either value is checked against the
+    dense Helstrom value (1/2)(1 + ||q0 rho0 - q1 rho1||_1); a difference
+    above VERDICT_ATOL raises RuntimeError.
     """
     members = share_subset(j)
     rho0, rho1 = codeword_reductions(members)
     if state.dim != rho0.dim:
         raise ValueError(f"state has dimension {state.dim}, expected {rho0.dim}")
     overlap = float(np.vdot(rho0.matrix, state.matrix).real / np.vdot(rho0.matrix, rho0.matrix).real)
-    guess = 0 if overlap >= 0.5 else 1
-    success = 0.5 * (
-        1.0 + trace_norm(prior.q0 * rho0.matrix - prior.q1 * rho1.matrix)
-    )
+    if holds_logical_z(members):
+        guess, success = (0 if overlap >= 0.5 else 1), 1.0
+    else:
+        guess, success = (0 if prior.q0 >= prior.q1 else 1), max(prior.q0, prior.q1)
+    helstrom = 0.5 * (1.0 + trace_norm(prior.q0 * rho0.matrix - prior.q1 * rho1.matrix))
+    if not abs(success - helstrom) <= VERDICT_ATOL:
+        raise RuntimeError(
+            f"subset {members}: success probability {success!r} disagrees with "
+            f"the Helstrom value {helstrom!r}"
+        )
     return ClassicalReconstruction(
         guess=guess, success_probability=success, support_overlap=overlap
     )

@@ -99,11 +99,13 @@ class SearchReport:
     small subset was already Qualified, respectively because a complete
     k-subset failed to qualify (both cuts are sound for the verdict). They
     are popcounts of bitmask candidate sets, equal to what a loop over the
-    candidates in order counts up to the one where a witness ends it. A
-    subtree that is searched once is not searched again for a share tuple
-    in the same orbit under the linear maps fixing the secret functional:
-    its recorded counts are added instead, so the counters still mean what
-    that loop counts.
+    candidates in order counts up to the one where a witness ends it. Each
+    subtree returns its four counts, which its parent adds up, and a
+    witness-free subtree is not searched again for a share tuple in the
+    same orbit under the linear maps fixing the secret functional: the
+    counts it returned are added instead, so the counters still mean what
+    that loop counts. The counters are summed over m = 0..m_max, up to
+    the m of the witness.
     """
 
     n: int
@@ -116,33 +118,6 @@ class SearchReport:
     schemes_completed: int
     pruned_small_qualified: int
     pruned_large_unqualified: int
-
-
-class _Counters:
-    __slots__ = ("assignments", "schemes", "small", "large")
-
-    def __init__(self) -> None:
-        self.assignments = 0
-        self.schemes = 0
-        self.small = 0
-        self.large = 0
-
-    def snapshot(self) -> tuple[int, int, int, int]:
-        return self.assignments, self.schemes, self.small, self.large
-
-    def since(self, before: Sequence[int]) -> tuple[int, int, int, int]:
-        return (
-            self.assignments - before[0],
-            self.schemes - before[1],
-            self.small - before[2],
-            self.large - before[3],
-        )
-
-    def add(self, deltas: Sequence[int]) -> None:
-        self.assignments += deltas[0]
-        self.schemes += deltas[1]
-        self.small += deltas[2]
-        self.large += deltas[3]
 
 
 def _scheme_from_rows(rows: Sequence[int], m: int) -> LinearScheme:
@@ -171,15 +146,15 @@ def _key_pair(index: dict[int, int], x: int, secret_vec: int) -> tuple[int, int]
 
 
 def _search_fixed_m(
-    n: int, k: int, m: int, prune: bool, counters: _Counters
-) -> Optional[LinearScheme]:
+    n: int, k: int, m: int, prune: bool
+) -> tuple[Optional[LinearScheme], tuple[int, int, int, int]]:
     everything = (1 << (1 << (m + 1))) - 1  # candidate sets: bit x is vector x
     secret_vec = 1 << m  # (a=1, b=0): the functional picking out s itself
     bit = [1 << w for w in range(1 << (m + 1))]
     assigned: list[int] = []
-    # Counter increments of every witness-free subtree, by orbit key. A map
-    # fixing secret_vec preserves qualification and permutes the candidates,
-    # so a subtree's verdict and counts depend only on its tuple's orbit.
+    # The counts of every witness-free subtree, by orbit key. A map fixing
+    # secret_vec preserves qualification and permutes the candidates, so a
+    # subtree's verdict and counts depend only on its tuple's orbit.
     memo: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
 
     def coset(vectors: Sequence[int]) -> list[int]:
@@ -190,14 +165,11 @@ def _search_fixed_m(
             members += [v ^ w for w in members]
         return members
 
-    def count(forbidden: int, required: int, seen: int) -> None:
-        counters.assignments += seen.bit_count()
-        counters.small += (seen & forbidden).bit_count()
-        counters.large += (seen & ~forbidden & ~required).bit_count()
-
     def dfs(
         depth: int, forbidden: int, required: int, index: dict[int, int], key: tuple[int, ...]
-    ) -> Optional[LinearScheme]:
+    ) -> tuple[Optional[LinearScheme], tuple[int, int, int, int]]:
+        # Returns the first witness below this node, if any, and the node's
+        # subtree counts (assignments, schemes, small prunes, large prunes).
         # When pruning, forbidden is the union of the cosets of all assigned
         # S with |S| <= k - 2, required the intersection over |S| = k - 1 (all
         # candidates until such S exist). Spans grow with subsets, so a child
@@ -209,49 +181,60 @@ def _search_fixed_m(
         combos = itertools.combinations
         grow = [coset(c) for c in combos(assigned, min(depth, k - 3))] if inner and k >= 3 else []
         shrink = [coset(c) for c in combos(assigned, k - 2)] if inner and k >= 2 else []
+        assignments = schemes = small = large = 0
+        witness: Optional[LinearScheme] = None
+        seen = everything
         while allowed:
             low = allowed & -allowed
             allowed ^= low
             x = low.bit_length() - 1
             child_key = key + _key_pair(index, x, secret_vec)
-            replay = memo.get(child_key)
-            if replay is not None:
-                counters.add(replay)
-                continue
-            before = counters.snapshot()
-            if depth == n - 1:
-                counters.schemes += 1
-                rows = assigned + [x]
-                witness: Optional[LinearScheme] = None
-                if _threshold_rows(rows, m, k):
-                    witness = _scheme_from_rows(rows, m)
-                elif prune:
-                    # Incremental constraints guarantee threshold structure
-                    # at a pruned-mode leaf; disagreement is a bug.
-                    raise RuntimeError(
-                        f"pruned search reached inconsistent leaf {_scheme_from_rows(rows, m)}"
+            counts = memo.get(child_key)
+            if counts is None:
+                if depth == n - 1:
+                    counts = (0, 1, 0, 0)
+                    rows = assigned + [x]
+                    if _threshold_rows(rows, m, k):
+                        witness = _scheme_from_rows(rows, m)
+                    elif prune:
+                        # Incremental constraints guarantee threshold structure
+                        # at a pruned-mode leaf; disagreement is a bug.
+                        raise RuntimeError(
+                            f"pruned search reached inconsistent leaf {_scheme_from_rows(rows, m)}"
+                        )
+                else:
+                    child_forbidden, child_required = forbidden, required
+                    for members in grow:
+                        for w in members:
+                            child_forbidden |= bit[w] | bit[w ^ x]
+                    for members in shrink:
+                        mask = 0
+                        for w in members:
+                            mask |= bit[w] | bit[w ^ x]
+                        child_required &= mask
+                    assigned.append(x)
+                    child_index = _extend_index(index, x, depth)
+                    witness, counts = dfs(
+                        depth + 1, child_forbidden, child_required, child_index, child_key
                     )
-            else:
-                child_forbidden, child_required = forbidden, required
-                for members in grow:
-                    for w in members:
-                        child_forbidden |= bit[w] | bit[w ^ x]
-                for members in shrink:
-                    mask = 0
-                    for w in members:
-                        mask |= bit[w] | bit[w ^ x]
-                    child_required &= mask
-                assigned.append(x)
-                child_index = _extend_index(index, x, depth)
-                witness = dfs(depth + 1, child_forbidden, child_required, child_index, child_key)
-                assigned.pop()
+                    assigned.pop()
+                if witness is None:
+                    memo[child_key] = counts
+            child_assignments, child_schemes, child_small, child_large = counts
+            assignments += child_assignments
+            schemes += child_schemes
+            small += child_small
+            large += child_large
             if witness is not None:
                 # The loop stops at x: count only the candidates up to x.
-                count(forbidden, required, (low << 1) - 1)
-                return witness
-            memo[child_key] = counters.since(before)
-        count(forbidden, required, everything)
-        return None
+                seen = (low << 1) - 1
+                break
+        return witness, (
+            assignments + seen.bit_count(),
+            schemes,
+            small + (seen & forbidden).bit_count(),
+            large + (seen & ~forbidden & ~required).bit_count(),
+        )
 
     # Depth 0 starts from the empty subset's coset {secret_vec}: forbidden
     # for k >= 2, required for k = 1.
@@ -278,21 +261,11 @@ def search_linear_schemes(
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     if not 0 <= m_max <= 5:
         raise ValueError(f"m_max must be in 0..5, got {m_max}")
-    counters = _Counters()
     witness = None
+    totals = [0, 0, 0, 0]
     for m in range(m_max + 1):
-        witness = _search_fixed_m(n, k, m, prune, counters)
+        witness, counts = _search_fixed_m(n, k, m, prune)
+        totals = [t + c for t, c in zip(totals, counts)]
         if witness is not None:
             break
-    return SearchReport(
-        n=n,
-        k=k,
-        m_max=m_max,
-        pruned=prune,
-        found=witness is not None,
-        witness=witness,
-        assignments_tried=counters.assignments,
-        schemes_completed=counters.schemes,
-        pruned_small_qualified=counters.small,
-        pruned_large_unqualified=counters.large,
-    )
+    return SearchReport(n, k, m_max, prune, witness is not None, witness, *totals)

@@ -76,6 +76,21 @@ def normalizer() -> tuple[tuple[_Element, ...], ...]:
     return tuple(tuple(sorted(elements, key=_scan_order)) for elements in by_weight)
 
 
+@functools.cache
+def holds_logical_z(members: tuple[int, ...]) -> bool:
+    """Whether some element of Z̄·S acts only on the shares ``members`` (1-based).
+
+    Those are the elements of N(S) with diagdiff 2. Measuring one on J
+    reads the secret bit of a code word, so J can reconstruct it; without
+    one, rho0^J = rho1^J and J learns nothing.
+    """
+    return any(
+        diag_diff == 2.0 and all(c == "I" or q in members for q, c in enumerate(letters, 1))
+        for elements in normalizer()
+        for letters, _, diag_diff in elements
+    )
+
+
 def _scan_order(element: _Element) -> tuple[list[bool], str]:
     # combinations(range(5), w) order of the supports: the support whose
     # first difference comes earlier sorts first, as False before True.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qsslab import access_analysis
 from qsslab.access_analysis import (
     Classification,
     SecretPrior,
@@ -229,7 +230,28 @@ class TestReconstructClassical:
     def test_forbidden_subset_with_skewed_prior_guesses_majority(self):
         rho = reduced_state(encode_classical(1), [4, 5])
         result = reconstruct_classical([4, 5], rho, SecretPrior(0.3, 0.7))
+        assert result.guess == 1
         assert result.success_probability == pytest.approx(0.7, abs=1e-9)
+
+    @pytest.mark.parametrize("prior, success", [((0.7, 0.3), 0.7), ((0.5, 0.5), 0.5)], ids=["majority-0", "tie"])
+    def test_forbidden_subset_guesses_0_on_majority_or_tie(self, prior, success):
+        # rho0^J = rho1^J: the measurement reads nothing, so the prior decides.
+        for s in (0, 1):
+            rho = reduced_state(encode_classical(s), [4, 5])
+            result = reconstruct_classical([4, 5], rho, SecretPrior(*prior))
+            assert result.guess == 0
+            assert result.success_probability == success
+
+    def test_full_set_success_is_exactly_one(self):
+        rho = reduced_state(encode_classical(0), [1, 2, 3, 4, 5])
+        assert reconstruct_classical([1, 2, 3, 4, 5], rho).success_probability == 1.0
+
+    def test_wrong_logical_z_class_fails_the_helstrom_check(self, monkeypatch):
+        monkeypatch.setattr(access_analysis, "holds_logical_z", lambda members: len(members) < 3)
+        for members in ([1, 2, 3], [4, 5]):
+            rho = reduced_state(encode_classical(0), members)
+            with pytest.raises(RuntimeError, match="disagrees with the Helstrom value"):
+                reconstruct_classical(members, rho)
 
     def test_dimension_mismatch(self):
         rho = reduced_state(encode_classical(0), [1])
@@ -263,7 +285,10 @@ class TestFlatReductionOracle:
                 rho = reduced_state(psi, j)
                 overlap = float(np.real(np.trace(projectors[j] @ rho.matrix)))
                 result = reconstruct_classical(j, rho, prior)
-                assert result.guess == (0 if overlap >= 0.5 else 1)
+                if len(j) >= 3:  # J holds a logical Z: the measurement reads the bit
+                    assert result.guess == (0 if overlap >= 0.5 else 1)
+                else:  # rho0^J = rho1^J: the prior's majority bit, 0 on a tie
+                    assert result.guess == (0 if prior.q0 >= prior.q1 else 1)
                 assert abs(result.support_overlap - overlap) <= 1e-12
 
 

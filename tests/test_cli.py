@@ -229,6 +229,14 @@ class TestDistanceCommand:
         assert "unrecognized arguments: --tolerance 2" in capsys.readouterr().err
 
 
+    def test_unparsable_amplitude_fails(self, capsys):
+        assert run("encode", "--alpha0=1,2,3", "--alpha1=0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot parse complex number")
+        assert captured.err.count("\n") == 1
+
+
 class TestReconstructCommand:
     @pytest.fixture()
     def state_file(self, tmp_path):
@@ -254,6 +262,31 @@ class TestReconstructCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["classical"]["success_probability"] == pytest.approx(0.5, abs=1e-9)
         assert "quantum" not in doc
+
+    def test_full_set_classical_success_is_exactly_one(self, tmp_path, capsys):
+        path = tmp_path / "s0.json"
+        assert run("encode", "--secret", "0", "--out", str(path)) == 0
+        assert run("reconstruct", "--state", str(path), "--members", "1,2,3,4,5", "--mode", "classical") == 0
+        classical = json.loads(capsys.readouterr().out)["classical"]
+        assert classical["guess"] == 0
+        assert classical["success_probability"] == 1.0
+
+    def test_forbidden_subset_guesses_the_prior_majority(self, state_file, capsys):
+        assert run(
+            "reconstruct", "--state", state_file, "--members", "4,5",
+            "--prior", "0.3", "--mode", "classical",
+        ) == 0
+        classical = json.loads(capsys.readouterr().out)["classical"]
+        assert classical["guess"] == 1
+        assert classical["success_probability"] == 0.7
+
+    def test_wrong_logical_z_class_fails_with_2(self, state_file, monkeypatch, capsys):
+        monkeypatch.setattr(access_analysis, "holds_logical_z", lambda members: len(members) < 3)
+        assert run("reconstruct", "--state", state_file, "--members", "1,2,3", "--mode", "classical") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification failure: subset (1, 2, 3): success probability ")
+        assert captured.err.count("\n") == 1
 
     def test_quantum_on_forbidden_subset_fails(self, state_file, capsys):
         assert run(
@@ -364,6 +397,24 @@ class TestReconstructCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: state is not normalized: |psi|^2 = nan"]
+
+    @pytest.mark.parametrize(
+        "state, members, message",
+        [
+            ("missing.json", "1,2,3", "error: cannot read state file "),
+            (".", "1,2,3", "error: cannot read state file "),
+            (None, "1,a", "error: cannot parse members"),
+            (None, "1,1,2", "error: duplicate members"),
+        ],
+        ids=["missing-file", "directory", "unparsable-members", "duplicate-members"],
+    )
+    def test_bad_state_path_or_members_fail(self, state_file, tmp_path, capsys, state, members, message):
+        path = state_file if state is None else str(tmp_path / state)
+        assert run("reconstruct", "--state", path, "--members", members) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
 
     def test_bad_members_fail(self, state_file):
         assert run("reconstruct", "--state", state_file, "--members", "1,9") == 1

@@ -185,6 +185,14 @@ class TestImportBoundary:
         assert out == "3\nFalse\n"
         assert not numpy_imported
 
+    def test_logical_z_predicate_leaves_numpy_out(self):
+        out, numpy_imported = run_fresh(
+            "from qsslab.symplectic import holds_logical_z\n"
+            "print(holds_logical_z((1, 2, 3)), holds_logical_z((4, 5)))"
+        )
+        assert out == "True False\n"
+        assert not numpy_imported
+
     def test_encode_quantum_imports_numpy(self):
         out, numpy_imported = run_fresh(
             "import qsslab\n"

@@ -24,6 +24,7 @@ from qsslab import (
 )
 from qsslab.access_analysis import Classification
 from qsslab.classical_bound import gf2_in_span, gf2_rank
+from qsslab.symplectic import holds_logical_z
 
 
 def symplectic(letters: str) -> int:
@@ -81,12 +82,17 @@ def test_logical_operators_are_the_distance_scan_violations():
     assert by_weight == [c.violations for c in verify_distance(5).checks]
 
 
-def test_qualified_sets_hold_a_logical_z():
-    readers = {
+def logical_z_readers() -> set[tuple[int, ...]]:
+    """The subsets on which some element of Z̄·S acts."""
+    return {
         members
         for members in all_nonempty_subsets(5)
         if any(support(LOGICAL_Z ^ s) & ~qubits(members) == 0 for s in group(STABILIZERS))
     }
+
+
+def test_qualified_sets_hold_a_logical_z():
+    readers = logical_z_readers()
     qualified = {
         v.subset
         for v in access_structure_report().verdicts
@@ -94,6 +100,13 @@ def test_qualified_sets_hold_a_logical_z():
     }
     assert qualified == readers
     assert readers == {members for members in all_nonempty_subsets(5) if len(members) >= 3}
+
+
+def test_logical_z_predicate_matches_the_readers():
+    subsets = all_nonempty_subsets(5)
+    holders = {members for members in subsets if holds_logical_z(members)}
+    assert holders == logical_z_readers()
+    assert holders == {members for members in subsets if len(members) >= 3}
 
 
 def local_rank(members) -> int:
