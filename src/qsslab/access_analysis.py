@@ -179,7 +179,12 @@ def access_structure_report(prior: SecretPrior = UNIFORM_PRIOR) -> AccessReport:
 
 @dataclass(frozen=True)
 class ClassicalReconstruction:
-    """Guess, exact optimal success and support overlap of the shares in J."""
+    """Guess, exact optimal success and support overlap of the shares in J.
+
+    ``support_overlap`` is tr(P rho), P the support of rho0^J. On a J
+    without a logical Z that is also the support of rho1^J, so the field
+    reads 1.0 for every code state and tells nothing about the secret.
+    """
 
     guess: int
     success_probability: float
@@ -200,7 +205,8 @@ def reconstruct_classical(
     rho0^J = P / rank P (Gottesman, arXiv quant-ph/9705052), so
     P = rho0 / tr(rho0^2) needs no eigenbasis. Otherwise rho0^J = rho1^J,
     so the best guess is the prior's majority bit (0 on a tie), right
-    with probability max(q0, q1). Either value is checked against the
+    with probability max(q0, q1), and the support overlap tr(P rho) is
+    1.0 for every code state. Either success value is checked against the
     dense Helstrom value (1/2)(1 + ||q0 rho0 - q1 rho1||_1); a difference
     above VERDICT_ATOL raises RuntimeError.
     """

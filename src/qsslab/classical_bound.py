@@ -11,7 +11,7 @@ randomness budget and certifies whether any of them realizes an exact
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -145,42 +145,54 @@ def _key_pair(index: dict[int, int], x: int, secret_vec: int) -> tuple[int, int]
     return index.get(x, 0), index.get(x ^ secret_vec, 0)
 
 
+@functools.cache
+def _subset_ids(n: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    # Per depth d < n, over the subset ids T < 2^d of the d assigned shares:
+    # the bitmask of the T with |T| <= k - 2, and for each S with
+    # |S| = k - 1 the bitmask of the T contained in S.
+    table = []
+    for d in range(n):
+        ids = range(1 << d)
+        small = sum(1 << t for t in ids if t.bit_count() <= k - 2)
+        downs = tuple(
+            sum(1 << t for t in ids if t & ~s == 0) for s in ids if s.bit_count() == k - 1
+        )
+        table.append((small, downs))
+    return tuple(table)
+
+
 def _search_fixed_m(
     n: int, k: int, m: int, prune: bool
 ) -> tuple[Optional[LinearScheme], tuple[int, int, int, int]]:
     everything = (1 << (1 << (m + 1))) - 1  # candidate sets: bit x is vector x
     secret_vec = 1 << m  # (a=1, b=0): the functional picking out s itself
-    bit = [1 << w for w in range(1 << (m + 1))]
+    ids = _subset_ids(n, k)
     assigned: list[int] = []
     # The counts of every witness-free subtree, by orbit key. A map fixing
     # secret_vec preserves qualification and permutes the candidates, so a
     # subtree's verdict and counts depend only on its tuple's orbit.
     memo: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
 
-    def coset(vectors: Sequence[int]) -> list[int]:
-        # secret_vec ^ span(S): S + {x} is Qualified iff x lies in it, and
-        # the coset of S + {x} is that of S together with its shift by x.
-        members = [secret_vec]
-        for v in vectors:
-            members += [v ^ w for w in members]
-        return members
-
     def dfs(
-        depth: int, forbidden: int, required: int, index: dict[int, int], key: tuple[int, ...]
+        depth: int, index: dict[int, int], key: tuple[int, ...]
     ) -> tuple[Optional[LinearScheme], tuple[int, int, int, int]]:
         # Returns the first witness below this node, if any, and the node's
         # subtree counts (assignments, schemes, small prunes, large prunes).
-        # When pruning, forbidden is the union of the cosets of all assigned
-        # S with |S| <= k - 2, required the intersection over |S| = k - 1 (all
-        # candidates until such S exist). Spans grow with subsets, so a child
-        # adds only the cosets of the largest S + {x} that contain its new
-        # share x; the cosets of those S are built once per node. index holds
-        # the subset sums of the assigned shares, key their orbit key.
+        # index holds the subset sums of the assigned shares, key their
+        # orbit key. S + {x} is Qualified iff x lies in secret_vec ^ span(S),
+        # and s lies in span(S) iff some T in S has s_T == s. So when
+        # pruning, forbidden holds the secret_vec ^ s_T with |T| <= k - 2,
+        # required the secret_vec ^ s with s in the span of every assigned
+        # S with |S| = k - 1 (all candidates until such S exist).
+        forbidden, required = 0, everything
+        if prune:
+            small_ids, downs = ids[depth]
+            forbidden = sum(1 << (secret_vec ^ s) for s, t in index.items() if t & small_ids)
+            if downs:
+                required = sum(
+                    1 << (secret_vec ^ s) for s, t in index.items() if all(t & d for d in downs)
+                )
         allowed = required & ~forbidden
-        inner = prune and allowed and depth < n - 1
-        combos = itertools.combinations
-        grow = [coset(c) for c in combos(assigned, min(depth, k - 3))] if inner and k >= 3 else []
-        shrink = [coset(c) for c in combos(assigned, k - 2)] if inner and k >= 2 else []
         assignments = schemes = small = large = 0
         witness: Optional[LinearScheme] = None
         seen = everything
@@ -197,26 +209,14 @@ def _search_fixed_m(
                     if _threshold_rows(rows, m, k):
                         witness = _scheme_from_rows(rows, m)
                     elif prune:
-                        # Incremental constraints guarantee threshold structure
-                        # at a pruned-mode leaf; disagreement is a bug.
+                        # The masks guarantee threshold structure at a
+                        # pruned-mode leaf; disagreement is a bug.
                         raise RuntimeError(
                             f"pruned search reached inconsistent leaf {_scheme_from_rows(rows, m)}"
                         )
                 else:
-                    child_forbidden, child_required = forbidden, required
-                    for members in grow:
-                        for w in members:
-                            child_forbidden |= bit[w] | bit[w ^ x]
-                    for members in shrink:
-                        mask = 0
-                        for w in members:
-                            mask |= bit[w] | bit[w ^ x]
-                        child_required &= mask
                     assigned.append(x)
-                    child_index = _extend_index(index, x, depth)
-                    witness, counts = dfs(
-                        depth + 1, child_forbidden, child_required, child_index, child_key
-                    )
+                    witness, counts = dfs(depth + 1, _extend_index(index, x, depth), child_key)
                     assigned.pop()
                 if witness is None:
                     memo[child_key] = counts
@@ -236,11 +236,7 @@ def _search_fixed_m(
             large + (seen & ~forbidden & ~required).bit_count(),
         )
 
-    # Depth 0 starts from the empty subset's coset {secret_vec}: forbidden
-    # for k >= 2, required for k = 1.
-    if prune and k == 1:
-        return dfs(0, 0, bit[secret_vec], {0: 1}, ())
-    return dfs(0, bit[secret_vec] if prune else 0, everything, {0: 1}, ())
+    return dfs(0, {0: 1}, ())
 
 
 def search_linear_schemes(

@@ -149,48 +149,32 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_table(report) -> str:
-    rows = [("members", "holevo_bits", "trace_dist", "classification")]
-    for rec in report.to_records():
-        rows.append(
-            (
-                "{" + ",".join(str(i) for i in rec["members"]) + "}",
-                _fmt(rec["holevo_bits"]),
-                _fmt(rec["trace_dist"]),
-                rec["classification"],
-            )
-        )
-    lines = _table(rows)
-    lines.append(f"prior: q0={_fmt(report.prior.q0)} q1={_fmt(report.prior.q1)}")
-    lines.append(f"threshold(3,5) structure: {str(report.is_threshold).lower()}")
-    return "\n".join(lines) + "\n"
-
-
-def _report_csv(report) -> str:
-    lines = ["members,holevo_bits,trace_dist,classification"]
-    for rec in report.to_records():
-        members = ";".join(str(i) for i in rec["members"])
-        lines.append(
-            f"{members},{_fmt(rec['holevo_bits'])},{_fmt(rec['trace_dist'])},{rec['classification']}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from .access_analysis import SecretPrior, access_structure_report
 
     report = access_structure_report(SecretPrior.from_q0(args.prior))
+    records = report.to_records()
     if args.format == "json":
         doc = {
             "prior": {"q0": report.prior.q0, "q1": report.prior.q1},
             "is_threshold": report.is_threshold,
-            "subsets": report.to_records(),
+            "subsets": records,
         }
         _emit(_dump_json(doc), args.out)
-    elif args.format == "csv":
-        _emit(_report_csv(report), args.out)
+        return 0
+    table = args.format == "table"
+    sep, wrap = (",", "{%s}") if table else (";", "%s")
+    rows = [("members", "holevo_bits", "trace_dist", "classification")]
+    for rec in records:
+        members = wrap % sep.join(str(i) for i in rec["members"])
+        rows.append((members, _fmt(rec["holevo_bits"]), _fmt(rec["trace_dist"]), rec["classification"]))
+    if table:
+        lines = _table(rows)
+        lines.append(f"prior: q0={_fmt(report.prior.q0)} q1={_fmt(report.prior.q1)}")
+        lines.append(f"threshold(3,5) structure: {str(report.is_threshold).lower()}")
     else:
-        _emit(_report_table(report), args.out)
+        lines = [",".join(row) for row in rows]
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -153,7 +153,9 @@ ORACLE_CASES = [
     for m in range(4)
     for prune in (True, False)
     if (2 ** (m + 1)) ** n <= 5000
-] + [(5, k, m, True) for k in (2, 3) for m in range(4)]
+] + [(5, k, m, True) for k in (2, 3) for m in range(4)] + [
+    (5, k, m, True) for k in (1, 4, 5) for m in range(3)
+] + [(5, 4, 3, True)]
 
 
 class TestGF2:

@@ -493,3 +493,34 @@ class TestSearchCommand:
         assert captured.err.startswith(f"error: cannot write {out}:")
         assert captured.err.count("\n") == 1
         assert not out.parent.exists()
+
+
+class TestOutOfRangeArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["distance", "--max-weight", "0"], "error: max_weight must be in 1..5"),
+            (["distance", "--max-weight", "6"], "error: max_weight must be in 1..5"),
+            (["search-classical", "--n", "5", "--k", "0"], "error: need 1 <= k <= n"),
+            (
+                ["search-classical", "--n", "5", "--k", "3", "--max-rand", "6"],
+                "error: m_max must be in 0..5",
+            ),
+            (["reconstruct", "--members", "0,1"], "error: members must lie in 1..5"),
+            (
+                ["reconstruct", "--members", "1,2,3", "--prior", "nan"],
+                "error: probabilities must be finite",
+            ),
+        ],
+        ids=["weight-0", "weight-6", "k-0", "max-rand-6", "member-0", "nan-prior"],
+    )
+    def test_fails_with_one_error_line(self, tmp_path, capsys, argv, message):
+        if argv[0] == "reconstruct":
+            path = tmp_path / "s1.json"
+            assert run("encode", "--secret", "1", "--out", str(path)) == 0
+            argv = argv + ["--state", str(path)]
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
