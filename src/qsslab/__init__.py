@@ -31,8 +31,6 @@ _MODULE_OF = {
     "codeword_reductions": "access_analysis",
     "encode_classical": "code5",
     "encode_quantum": "code5",
-    "gf2_in_span": "classical_bound",
-    "gf2_rank": "classical_bound",
     "hermitian_eig": "quantum_core",
     "holevo_information": "access_analysis",
     "reconstruct_classical": "access_analysis",

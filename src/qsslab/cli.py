@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (bad values, malformed files,
 states outside the code space, an unwritable --out path), 2 verification
-failure (a failed --expect check or any internal RuntimeError). All
-numeric table/csv output carries 15 significant digits; JSON uses exact
-round-trip floats.
+failure (a failed --expect check or any internal RuntimeError) and, from
+argparse, usage errors. All numeric table/csv output carries 15
+significant digits; JSON uses exact round-trip floats.
 
 ``reconstruct --expect-*`` exits 2, after writing its JSON, when the
 recovered state's fidelity with the expected secret is below 1 -
@@ -343,6 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse reads a value of "--", as in --prior=--, as an empty list.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            print(f"error: --{name.replace('_', '-')} cannot take the value \"--\"", file=sys.stderr)
+            return 1
     try:
         return args.func(args)
     except RuntimeError as exc:

@@ -1,9 +1,10 @@
-"""The five-qubit [[5,1,3]] code: code words, encoding and Pauli action.
+"""The five-qubit [[5,1,3]] code: code words and encoding.
 
 The code is the stabilizer code of the cyclic shifts of XZZXI (Laflamme
 et al. 1996; Gottesman, arXiv quant-ph/9705052). Its two code words are
 derived from those generators and the logical operators ZZZZZ and XXXXX
-by projection; each is 16 terms of +-1/4 in the computational basis.
+by projection, in pure Python on their (x | z) ints; each is 16 terms of
++-1/4 in the computational basis.
 
 The generators and the distance certificate live in the numpy-free
 ``symplectic`` module, which reads the generators rather than the words;
@@ -16,24 +17,30 @@ imported by the functions that compute with them, so importing this module
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .symplectic import (  # noqa: F401
-    LOGICAL_X,
-    LOGICAL_Z,
-    STABILIZERS,
-    DistanceReport,
-    WeightCheck,
-    symplectic,
-    verify_distance,
-)
+from .symplectic import LOGICAL_X, LOGICAL_Z, STABILIZERS, symplectic
+from .symplectic import DistanceReport, WeightCheck, verify_distance  # noqa: F401
 from .tolerances import NORM_ATOL
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .quantum_core import PureState
+
+
+#: i^k for k = 0..3, exact (1j ** 2 is not exactly -1 in floating point).
+_I_POWERS = (1, 1j, -1, -1j)
+
+
+def _apply(p: int, word: list[complex]) -> list[complex]:
+    # E|b> = i^{#Y} (-1)^{popcount(b & z)} |b ^ x> for E = (x | z), Y = iXZ,
+    # where #Y = popcount(x & z); entry c of the result is read from b = c ^ x.
+    x, z = p >> 5, p & 31
+    phase = _I_POWERS[(x & z).bit_count() % 4]
+    return [word[c ^ x] * (1 - 2 * (((c ^ x) & z).bit_count() & 1)) * phase for c in range(32)]
 
 
 @functools.lru_cache(maxsize=2)
@@ -44,19 +51,16 @@ def encode_classical(s: int) -> PureState:
     and for the logical Z, then normalized; w1 = XXXXX w0. Every step is
     exact in binary, so the amplitudes are exactly +-1/4 or 0.
     """
-    import numpy as np
-
     from .quantum_core import PureState
 
     if s not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {s!r}")
-    if s == 1:
-        return PureState(5, _pauli_action(np.array([symplectic(LOGICAL_X)]), encode_classical(0).amplitudes)[0])
-    word = np.zeros(32, dtype=complex)
-    word[0] = 1.0
+    word = [complex(b == 0) for b in range(32)]
     for g in STABILIZERS + (LOGICAL_Z,):
-        word = (word + _pauli_action(np.array([symplectic(g)]), word)[0]) / 2
-    return PureState(5, word / np.linalg.norm(word))
+        word = [(a + b) / 2 for a, b in zip(word, _apply(symplectic(g), word))]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in word))
+    word = [a / norm for a in word]
+    return PureState(5, _apply(symplectic(LOGICAL_X), word) if s else word)
 
 
 @dataclass(frozen=True)
@@ -96,24 +100,3 @@ def encode_quantum(secret: QubitSecret) -> PureState:
     )
     return PureState(5, amps)
 
-
-def _pauli_action(ops: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """E|psi> for every (x | z) int E in ``ops``, one row per operator.
-
-    With Y = iXZ, every operator acts on a basis ket as
-    E|b> = i^{#Y} (-1)^{popcount(b & z)} |b ^ x>, where #Y = popcount(x & z).
-    """
-    import numpy as np
-
-    # i^k for k = 0..3, exact (1j ** 2 is not exactly -1 in floating point),
-    # and the number of set bits of every index of a state of <= 5 qubits.
-    i_powers = np.array([1, 1j, -1, -1j])
-    popcount = np.array([b.bit_count() for b in range(32)], dtype=np.int8)
-    x, z = ops >> 5, ops & 31
-    # Row k, column c holds b = c ^ x_k, the basis ket E_k maps onto |c>.
-    # Small integer types and in-place products keep the peak memory low.
-    source = np.arange(amplitudes.size) ^ x[:, None]
-    out = amplitudes[source]
-    out *= 1 - 2 * (popcount[source & z[:, None]] & 1)
-    out *= i_powers[popcount[x & z] % 4][:, None]
-    return out

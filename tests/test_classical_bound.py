@@ -23,11 +23,11 @@ from qsslab.classical_bound import (
     _extend_index,
     _key_pair,
     _threshold_rows,
-    gf2_in_span,
-    gf2_rank,
     search_linear_schemes,
     share_size_bound,
 )
+
+from gf2_oracle import gf2_in_span, gf2_rank
 
 XOR_SCHEME = LinearScheme(n=2, m=1, vectors=((1, 1), (0, 1)))
 

@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface and the state file format."""
 
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsslab import access_analysis
 from qsslab.cli import main, read_state, state_from_document, state_to_document
@@ -524,3 +529,145 @@ class TestOutOfRangeArguments:
         assert captured.out == ""
         assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1
+
+
+class TestDoubleDashValue:
+    """argparse reads a value of "--" as an empty list; main refuses it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--prior=--"],
+            ["distance", "--max-weight=--"],
+            ["search-classical", "--n", "3", "--k=--"],
+            ["encode", "--alpha0=--", "--alpha1=0"],
+            ["encode", "--secret", "0", "--out=--"],
+            ["reconstruct", "--state=--", "--members", "1,2,3"],
+            ["reconstruct", "--state", "s1.json", "--members=--"],
+        ],
+        ids=["prior", "max-weight", "k", "alpha0", "out", "state", "members"],
+    )
+    def test_fails_with_one_error_line(self, tmp_path, capsys, argv):
+        path = tmp_path / "s1.json"
+        assert run("encode", "--secret", "1", "--out", str(path)) == 0
+        argv = [str(path) if arg == "s1.json" else arg for arg in argv]
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --")
+        assert captured.err.endswith(' cannot take the value "--"\n')
+        assert captured.err.count("\n") == 1
+
+
+#: Values no flag should turn into a traceback.
+HOSTILE = ("nan", "-nan", "inf", "-inf", "1e400", "1_0", "٣", "1,,2", "", "--", "-1")
+#: Paths in the fuzz directory, marked with "@": state files good and bad,
+#: and --out paths of which only the first is writable. "" and "--" are the
+#: only other values these flags get, so nothing is written outside it.
+STATE_PATHS = (
+    "@s0.json", "@s1.json", "@plus.json", "@missing.json", "@out", "@notjson.json",
+    "@empty.json", "@list.json", "@three.json", "@outside.json", "@nested.json", "", "--",
+)
+OUT_PATHS = ("@out/result.txt", "@out", "@missing/x.txt", "@s0.json/x.txt", "", "--")
+#: Each subcommand's flags with values that are valid or nearly so.
+FLAGS = {
+    "encode": {
+        "--secret": ("0", "1"),
+        "--alpha0": ("0.6", "0,0.8", "1", "0", "1e200"),
+        "--alpha1": ("0.8", "0,0.8", "0", "1"),
+        "--out": OUT_PATHS,
+    },
+    "report": {
+        "--prior": ("0.3", "0.5", "-0.0", "1", "2"),
+        "--format": ("json", "table", "csv"),
+        "--out": OUT_PATHS,
+    },
+    "distance": {
+        "--max-weight": ("1", "2", "3", "5", "6"),
+        "--expect": ("2", "3", "4"),
+        "--format": ("json", "table"),
+        "--out": OUT_PATHS,
+    },
+    "reconstruct": {
+        "--state": STATE_PATHS,
+        "--members": ("1,2,3", "2,4,5", "4,5", "1,2,3,4,5", "0,1", "1,1,2", "1,9"),
+        "--prior": ("0.3", "0.5", "1"),
+        "--mode": ("classical", "quantum", "both"),
+        "--expect-secret": ("0", "1"),
+        "--expect-alpha0": ("0.6", "1", "1e200"),
+        "--expect-alpha1": ("0,0.8", "0"),
+        "--out": OUT_PATHS,
+    },
+    "search-classical": {
+        # n <= 3 keeps every search within milliseconds.
+        "--n": ("1", "2", "3"),
+        "--k": ("1", "2", "3", "4"),
+        "--max-rand": ("0", "2", "5", "6"),
+        "--no-prune": (None,),
+        "--format": ("json", "table"),
+        "--out": OUT_PATHS,
+    },
+}
+REQUIRED = {"--state", "--members", "--n", "--k"}
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    # Required flags nine times in ten, so most argvs get past argparse.
+    chosen += [f for f in sorted(REQUIRED & (set(flags) - set(chosen))) if draw(st.integers(0, 9))]
+    argv = [command]
+    for flag in chosen:
+        if flags[flag] == (None,):
+            argv.append(flag)
+            continue
+        # Other flags get a hostile value one time in three.
+        hostile = flag not in ("--out", "--state") and draw(st.integers(0, 2)) == 0
+        value = draw(st.sampled_from(HOSTILE if hostile else flags[flag]))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "out").mkdir()
+    for s in (0, 1):
+        (root / f"s{s}.json").write_text(json.dumps(state_to_document(encode_classical(s))))
+    assert main(["encode", "--alpha0", "0.6", "--alpha1", "0,0.8", "--out", str(root / "plus.json")]) == 0
+    (root / "notjson.json").write_text("{not json")
+    (root / "empty.json").write_text("")
+    (root / "list.json").write_text("[]")
+    amps = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
+    (root / "three.json").write_text(json.dumps({"format": 1, "num_qubits": 3, "amplitudes": amps}))
+    amps = [[1.0, 0.0]] + [[0.0, 0.0]] * 31
+    (root / "outside.json").write_text(json.dumps({"format": 1, "num_qubits": 5, "amplitudes": amps}))
+    (root / "nested.json").write_text("[" * 200_000)
+    return root
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_every_argv_exits_cleanly(fuzz_dir, argv):
+    # No traceback: argparse's usage errors exit 2 with a usage line, and
+    # every other failure prints exactly one line, error: or verification fail.
+    argv = [arg.replace("@", f"{fuzz_dir}{os.sep}") for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert err.getvalue().startswith("usage: qsslab")
+            return
+    lines = err.getvalue().splitlines(keepends=True)
+    if code == 0:
+        assert lines == []
+    elif code == 1:
+        assert out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
+    else:
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("verification fail") and lines[0].endswith("\n")

@@ -1,11 +1,12 @@
-"""Tests for the five-qubit code: code words, encoding, Pauli action, distance.
+"""Tests for the five-qubit code: code words, encoding, distance.
 
 The code words derived from the stabilizer generators are checked against
-the textbook amplitude tables below. Pauli operators are cross-checked
-against explicit 32x32 matrices built with np.kron, an entirely separate
-route from the bit-twiddling kernel. The symplectic distance certificate
-is checked against the dense scan below, which applies every operator to
-both code words.
+the textbook amplitude tables below, and against words rebuilt with the
+dense numpy Pauli kernel ``_pauli_action`` below, which shares no code
+with the pure-Python build. That kernel is cross-checked against explicit
+32x32 matrices built with np.kron, an entirely separate route from its
+bit-twiddling. The symplectic distance certificate is checked against the
+dense scan below, which applies every operator to both code words.
 """
 
 import itertools
@@ -17,13 +18,12 @@ from qsslab.code5 import (
     DistanceReport,
     QubitSecret,
     WeightCheck,
-    _pauli_action,
     encode_classical,
     encode_quantum,
     verify_distance,
 )
 from qsslab.quantum_core import PureState, all_nonempty_subsets, reduced_state
-from qsslab.symplectic import normalizer, pauli_letters, symplectic
+from qsslab.symplectic import LOGICAL_X, LOGICAL_Z, STABILIZERS, normalizer, pauli_letters, symplectic
 from qsslab.tolerances import VERDICT_ATOL
 
 #: Textbook (bit string, sign) terms of the code words for bits 0 and 1,
@@ -63,6 +63,37 @@ def table_word(s: int) -> np.ndarray:
     for bits, sign in WORD_TERMS[s]:
         amps[int(bits, 2)] = sign * 0.25
     return amps
+
+
+def _pauli_action(ops: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """E|psi> for every (x | z) int E in ``ops``, one row per operator.
+
+    With Y = iXZ, every operator acts on a basis ket as
+    E|b> = i^{#Y} (-1)^{popcount(b & z)} |b ^ x>, where #Y = popcount(x & z).
+    """
+    # i^k for k = 0..3, exact (1j ** 2 is not exactly -1 in floating point),
+    # and the number of set bits of every index of a state of <= 5 qubits.
+    i_powers = np.array([1, 1j, -1, -1j])
+    popcount = np.array([b.bit_count() for b in range(32)], dtype=np.int8)
+    x, z = ops >> 5, ops & 31
+    # Row k, column c holds b = c ^ x_k, the basis ket E_k maps onto |c>.
+    # Small integer types and in-place products keep the peak memory low.
+    source = np.arange(amplitudes.size) ^ x[:, None]
+    out = amplitudes[source]
+    out *= 1 - 2 * (popcount[source & z[:, None]] & 1)
+    out *= i_powers[popcount[x & z] % 4][:, None]
+    return out
+
+
+def dense_word(s: int) -> np.ndarray:
+    """The code word of bit ``s`` derived by the dense kernel: |00000>
+    projected by (1 + g)/2 for each generator and Z̄, normalized, then X̄."""
+    word = np.zeros(32, dtype=complex)
+    word[0] = 1.0
+    for g in STABILIZERS + (LOGICAL_Z,):
+        word = (word + act(g, word)) / 2
+    word = PureState(5, word / np.linalg.norm(word)).amplitudes
+    return PureState(5, act(LOGICAL_X, word)).amplitudes if s else word
 
 
 def act(letters: str, amplitudes: np.ndarray) -> np.ndarray:
@@ -127,12 +158,14 @@ def random_secret(rng: np.random.Generator) -> QubitSecret:
 
 
 class TestDerivedWords:
-    """The words derived from the generators against the textbook tables."""
+    """The words derived from the generators against the textbook tables
+    and against the words the dense kernel derives."""
 
+    @pytest.mark.parametrize("reference", [table_word, dense_word], ids=["table", "dense"])
     @pytest.mark.parametrize("s", [0, 1])
-    def test_bit_identical_to_table(self, s):
+    def test_bit_identical_to_reference(self, s, reference):
         # tobytes() also tells -0.0 from 0.0, which array equality does not.
-        assert encode_classical(s).amplitudes.tobytes() == table_word(s).tobytes()
+        assert encode_classical(s).amplitudes.tobytes() == reference(s).tobytes()
 
     @pytest.mark.parametrize("s", [0, 1])
     def test_sixteen_terms_of_plus_minus_quarter(self, s):

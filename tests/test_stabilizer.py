@@ -23,8 +23,9 @@ from qsslab import (
     von_neumann_entropy,
 )
 from qsslab.access_analysis import Classification
-from qsslab.classical_bound import gf2_in_span, gf2_rank
 from qsslab.symplectic import holds_logical_z
+
+from gf2_oracle import gf2_in_span, gf2_rank
 
 
 def symplectic(letters: str) -> int:
