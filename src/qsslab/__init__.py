@@ -15,7 +15,6 @@ _MODULE_OF = {
     "ClassicalReconstruction": "access_analysis",
     "DensityMatrix": "quantum_core",
     "DistanceReport": "code5",
-    "IndeterminateClassificationError": "access_analysis",
     "LinearScheme": "classical_bound",
     "PureState": "quantum_core",
     "QuantumReconstruction": "access_analysis",

@@ -1,16 +1,15 @@
 """Access-structure analysis of the five-qubit sharing scheme.
 
-For a subset J of the five participants, the two classical secrets leave
-J holding reduced states rho0^J and rho1^J. Classification is operational:
-J is Qualified when the two are perfectly distinguishable (trace distance
-1) and Forbidden when they are indistinguishable and carry zero Holevo
-information. This scheme is perfect, so every subset must land in exactly
-one class; anything else signals an implementation bug and raises.
+A subset J of the five participants is Qualified exactly when it holds an
+element of the logical-Z coset (``symplectic.holds_logical_z``), and every
+verdict here reads that predicate. The dense Holevo information and trace
+distance of the code words' reductions rho0^J and rho1^J are printed and
+checked against it; a disagreement is an implementation bug and raises.
 
 Reconstruction comes in two flavors: a projective measurement recovering
 the classical bit, and an exact erasure-recovery channel (the adjoint of
 the code isometry seen from J, exact because the code corrects the lost
-shares' erasure) recovering the full qubit secret from three or more shares.
+shares' erasure) recovering the full qubit secret from a qualified set.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ from .tolerances import NORM_ATOL, VERDICT_ATOL
 
 class UnqualifiedSubsetError(ValueError):
     """Raised when quantum reconstruction is requested for a forbidden set."""
-
-
-class IndeterminateClassificationError(RuntimeError):
-    """A subset matched neither classification predicate (perfectness bug)."""
 
 
 class Classification(str, Enum):
@@ -113,23 +108,23 @@ def classify_subset(
 ) -> SubsetVerdict:
     """Classify one share subset as Qualified or Forbidden.
 
-    Qualified means trace distance 1 (the two encoded bits are perfectly
-    distinguishable from J alone); Forbidden means zero trace distance and
-    zero Holevo information. A subset matching neither raises
-    IndeterminateClassificationError.
+    The verdict is ``holds_logical_z(J)``. The dense Holevo information and
+    trace distance are reported and checked: Qualified needs trace distance
+    1, Forbidden zero of both, each within VERDICT_ATOL; a disagreement
+    raises RuntimeError.
     """
     members = share_subset(j)
     rho0, rho1 = codeword_reductions(members)
     holevo = holevo_information(members, prior)
     dist = trace_distance(rho0, rho1)
-    if dist >= 1.0 - VERDICT_ATOL:
-        classification = Classification.QUALIFIED
-    elif holevo <= VERDICT_ATOL and dist <= VERDICT_ATOL:
-        classification = Classification.FORBIDDEN
+    if holds_logical_z(members):
+        classification, agrees = Classification.QUALIFIED, dist >= 1.0 - VERDICT_ATOL
     else:
-        raise IndeterminateClassificationError(
+        classification, agrees = Classification.FORBIDDEN, holevo <= VERDICT_ATOL and dist <= VERDICT_ATOL
+    if not agrees:
+        raise RuntimeError(
             f"subset {members}: holevo={holevo!r}, trace_dist={dist!r} "
-            "matches neither classification"
+            f"disagree with the stabilizer verdict {classification.value}"
         )
     return SubsetVerdict(
         subset=members,
@@ -264,16 +259,16 @@ def reconstruct_quantum(
     state: DensityMatrix,
     secret: Optional[QubitSecret] = None,
 ) -> QuantumReconstruction:
-    """Recover the qubit secret from the shares in J (|J| >= 3).
+    """Recover the qubit secret from the shares in a qualified J.
 
     ``state`` must be the reduced state on J of an encoded secret; the
     recovery channel then returns that secret exactly. When ``secret`` is
     supplied, the fidelity <secret|recovered|secret> is reported as well.
-    Subsets of two or fewer shares hold no information and raise
-    UnqualifiedSubsetError.
+    A J without a logical Z (``symplectic.holds_logical_z``) holds no
+    information and raises UnqualifiedSubsetError.
     """
     members = share_subset(j)
-    if len(members) <= 2:
+    if not holds_logical_z(members):
         raise UnqualifiedSubsetError(
             f"subset {members} is unqualified: reconstruction is impossible"
         )

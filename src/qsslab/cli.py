@@ -1,10 +1,10 @@
 """Command-line front end: encode states, emit reports, run verifications.
 
 Exit codes: 0 success, 1 domain error (bad values, malformed files,
-states outside the code space, an unwritable --out path), 2 verification
-failure (a failed --expect check or any internal RuntimeError) and, from
-argparse, usage errors. All numeric table/csv output carries 15
-significant digits; JSON uses exact round-trip floats.
+states outside the code space, an empty or unwritable --out path), 2
+verification failure (a failed --expect check or any internal
+RuntimeError) and, from argparse, usage errors. All numeric table/csv
+output carries 15 significant digits; JSON uses exact round-trip floats.
 
 ``reconstruct --expect-*`` exits 2, after writing its JSON, when the
 recovered state's fidelity with the expected secret is below 1 -
@@ -88,7 +88,7 @@ def _dump_json(doc: dict) -> str:
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)

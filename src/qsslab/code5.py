@@ -2,9 +2,9 @@
 
 The code is the stabilizer code of the cyclic shifts of XZZXI (Laflamme
 et al. 1996; Gottesman, arXiv quant-ph/9705052). Its two code words are
-derived from those generators and the logical operators ZZZZZ and XXXXX
-by projection, in pure Python on their (x | z) ints; each is 16 terms of
-+-1/4 in the computational basis.
+derived from those generators by projection and from the logical XXXXX,
+in pure Python on their (x | z) ints; each is 16 terms of +-1/4 in the
+computational basis.
 
 The generators and the distance certificate live in the numpy-free
 ``symplectic`` module, which reads the generators rather than the words;
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .symplectic import LOGICAL_X, LOGICAL_Z, STABILIZERS, symplectic
+from .symplectic import LOGICAL_X, STABILIZERS, symplectic
 from .symplectic import DistanceReport, WeightCheck, verify_distance  # noqa: F401
 from .tolerances import NORM_ATOL
 
@@ -47,16 +47,18 @@ def _apply(p: int, word: list[complex]) -> list[complex]:
 def encode_classical(s: int) -> PureState:
     """Five-qubit code word carrying the classical bit ``s``.
 
-    w0 is |00000> projected by (1 + g)/2 for every stabilizer generator g
-    and for the logical Z, then normalized; w1 = XXXXX w0. Every step is
-    exact in binary, so the amplitudes are exactly +-1/4 or 0.
+    w0 is |00000> projected by (1 + g)/2 for every stabilizer generator g,
+    then normalized; w1 = XXXXX w0. |00000> is a +1 eigenvector of the
+    logical Z = ZZZZZ, which commutes with every g, so w0 needs no
+    projection by it. Every step is exact in binary, so the amplitudes are
+    exactly +-1/4 or 0.
     """
     from .quantum_core import PureState
 
     if s not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {s!r}")
     word = [complex(b == 0) for b in range(32)]
-    for g in STABILIZERS + (LOGICAL_Z,):
+    for g in STABILIZERS:
         word = [(a + b) / 2 for a, b in zip(word, _apply(symplectic(g), word))]
     norm = math.sqrt(sum(abs(a) ** 2 for a in word))
     word = [a / norm for a in word]

@@ -174,9 +174,6 @@ def _jacobi_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = matrix.shape[0]
     av = np.vstack([matrix.astype(complex), np.eye(n, dtype=complex)])
     a, v = av[:n], av[n:]
-    if n == 1:
-        return a.real.diagonal().copy(), v
-
     scale = max(float(np.linalg.norm(a)), 1.0)
     for _ in range(60):
         # Off-diagonal Frobenius mass, summed entry by entry: subtracting

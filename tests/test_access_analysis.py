@@ -1,6 +1,7 @@
 """Tests for Holevo analysis, subset classification and reconstruction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,30 @@ class TestClassification:
 
     def test_full_set_is_qualified(self):
         assert classify_subset([1, 2, 3, 4, 5]).classification is Classification.QUALIFIED
+
+
+class TestStabilizerVerdictIsTheAuthority:
+    """A wrong logical-Z predicate is caught by the dense checks, never obeyed."""
+
+    @pytest.fixture(autouse=True)
+    def wrong_predicate(self, monkeypatch):
+        # (1, 2, 3) loses its logical Z and (4, 5) gains one.
+        monkeypatch.setattr(access_analysis, "holds_logical_z", lambda members: len(members) < 3)
+
+    @pytest.mark.parametrize("members", [(1, 2, 3), (4, 5)])
+    def test_classification_disagrees_with_the_dense_values(self, members):
+        with pytest.raises(RuntimeError, match=re.escape(f"subset {members}: holevo=")):
+            classify_subset(members)
+
+    def test_quantum_reconstruction_refuses_a_set_without_logical_z(self):
+        rho = reduced_state(encode_classical(0), [1, 2, 3])
+        with pytest.raises(UnqualifiedSubsetError, match="unqualified"):
+            reconstruct_quantum([1, 2, 3], rho)
+
+    def test_quantum_reconstruction_checks_the_isometry(self):
+        rho = reduced_state(encode_classical(0), [4, 5])
+        with pytest.raises(RuntimeError, match="does not correct the loss"):
+            reconstruct_quantum([4, 5], rho)
 
 
 class TestAccessReport:

@@ -197,8 +197,17 @@ class TestReportCommand:
         assert captured.err.startswith("verification failure: subset (1, 2, 3):")
         assert captured.err.count("\n") == 1
 
-    def test_indeterminate_classification_fails_with_2(self, monkeypatch, capsys):
-        # A negative tolerance lets no subset meet either predicate.
+    def test_wrong_logical_z_class_fails_with_2(self, monkeypatch, capsys):
+        # Every single share gains a logical Z, which its zero trace distance refutes.
+        monkeypatch.setattr(access_analysis, "holds_logical_z", lambda members: len(members) < 3)
+        assert run("report") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification failure: subset (1,): holevo=")
+        assert captured.err.count("\n") == 1
+
+    def test_negative_tolerance_fails_with_2(self, monkeypatch, capsys):
+        # A negative tolerance lets no subset agree with its verdict.
         monkeypatch.setattr(access_analysis, "VERDICT_ATOL", -1.0)
         assert run("report", "--prior", "0.5") == 2
         captured = capsys.readouterr()
@@ -516,8 +525,18 @@ class TestOutOfRangeArguments:
                 ["reconstruct", "--members", "1,2,3", "--prior", "nan"],
                 "error: probabilities must be finite",
             ),
+            # An empty --out is refused, not read as "write to stdout".
+            (["encode", "--secret", "0", "--out="], "error: cannot write : "),
+            (["report", "--out="], "error: cannot write : "),
+            (["distance", "--out="], "error: cannot write : "),
+            (["search-classical", "--n", "2", "--k", "2", "--max-rand", "2", "--out="], "error: cannot write : "),
+            (["reconstruct", "--members", "1,2,3", "--out="], "error: cannot write : "),
         ],
-        ids=["weight-0", "weight-6", "k-0", "max-rand-6", "member-0", "nan-prior"],
+        ids=[
+            "weight-0", "weight-6", "k-0", "max-rand-6", "member-0", "nan-prior",
+            "empty-out-encode", "empty-out-report", "empty-out-distance", "empty-out-search",
+            "empty-out-reconstruct",
+        ],
     )
     def test_fails_with_one_error_line(self, tmp_path, capsys, argv, message):
         if argv[0] == "reconstruct":

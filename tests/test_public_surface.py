@@ -18,7 +18,6 @@ PUBLIC = [
     "ClassicalReconstruction",
     "DensityMatrix",
     "DistanceReport",
-    "IndeterminateClassificationError",
     "LinearScheme",
     "PureState",
     "QuantumReconstruction",
@@ -54,6 +53,8 @@ PUBLIC = [
 #: The eigenbasis API: classical reconstruction reads the flat reduction.
 #: The echelon GF(2) helpers and the dense Pauli kernel: no program path uses
 #: them, so they live on in the tests as oracles (gf2_oracle, test_code5).
+#: The "neither class" error: the stabilizer form decides every verdict, and
+#: a dense value that disagrees with it raises a plain RuntimeError.
 REMOVED = (
     "CODE_TABLE",
     "CodeTable",
@@ -72,6 +73,7 @@ REMOVED = (
     "gf2_rank",
     "gf2_in_span",
     "_pauli_action",
+    "IndeterminateClassificationError",
 )
 
 
