@@ -1,10 +1,12 @@
 """Command-line front end: encode states, emit reports, run verifications.
 
-Exit codes: 0 success, 1 domain error (bad values, malformed files,
-states outside the code space, an empty or unwritable --out path), 2
-verification failure (a failed --expect check or any internal
-RuntimeError) and, from argparse, usage errors. All numeric table/csv
-output carries 15 significant digits; JSON uses exact round-trip floats.
+Exit codes: 0 success, 1 usage or domain error (unknown flags, bad
+values, malformed files, states outside the code space, an empty or
+unwritable --out path), 2 verification failure (a failed --expect check
+or any internal RuntimeError). Each subcommand returns its output and the
+reason a check failed; ``main`` alone writes them and picks the exit code.
+All numeric table/csv output carries 15 significant digits; JSON uses
+exact round-trip floats.
 
 ``reconstruct --expect-*`` exits 2, after writing its JSON, when the
 recovered state's fidelity with the expected secret is below 1 -
@@ -25,7 +27,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from .classical_bound import search_linear_schemes, share_size_bound
 from .symplectic import verify_distance
@@ -120,7 +122,7 @@ def _parse_members(text: str) -> tuple[int, ...]:
     from .quantum_core import share_subset
 
     try:
-        members = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+        members = [int(tok) for tok in text.replace(" ", "").split(",")]
     except ValueError as exc:
         raise ValueError(f"cannot parse members from {text!r}") from exc
     return share_subset(members)
@@ -139,17 +141,16 @@ def _secret(bit: Optional[int], alpha0: Optional[str], alpha1: Optional[str], fl
     return None if bit is None else QubitSecret(float(bit == 0), float(bit == 1))
 
 
-def _cmd_encode(args: argparse.Namespace) -> int:
+def _cmd_encode(args: argparse.Namespace) -> tuple[str, None]:
     from .code5 import encode_quantum
 
     secret = _secret(args.secret, args.alpha0, args.alpha1, "")
     if secret is None:
         raise ValueError("encode needs --secret or --alpha0/--alpha1")
-    _emit(_dump_json(state_to_document(encode_quantum(secret))), args.out)
-    return 0
+    return _dump_json(state_to_document(encode_quantum(secret))), None
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> tuple[str, None]:
     from .access_analysis import SecretPrior, access_structure_report
 
     report = access_structure_report(SecretPrior.from_q0(args.prior))
@@ -160,8 +161,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "is_threshold": report.is_threshold,
             "subsets": records,
         }
-        _emit(_dump_json(doc), args.out)
-        return 0
+        return _dump_json(doc), None
     table = args.format == "table"
     sep, wrap = (",", "{%s}") if table else (";", "%s")
     rows = [("members", "holevo_bits", "trace_dist", "classification")]
@@ -174,11 +174,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         lines.append(f"threshold(3,5) structure: {str(report.is_threshold).lower()}")
     else:
         lines = [",".join(row) for row in rows]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", None
 
 
-def _cmd_distance(args: argparse.Namespace) -> int:
+def _cmd_distance(args: argparse.Namespace) -> tuple[str, Optional[str]]:
     report = verify_distance(args.max_weight)
     if args.format == "json":
         doc = {
@@ -187,7 +186,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
             "certified_distance": report.certified_distance,
             "weights": [asdict(c) for c in report.checks],
         }
-        _emit(_dump_json(doc), args.out)
+        text = _dump_json(doc)
     else:
         rows = [("weight", "operators", "max_off", "max_diagdiff", "violations", "first")]
         for c in report.checks:
@@ -206,17 +205,13 @@ def _cmd_distance(args: argparse.Namespace) -> int:
             lines.append(f"no violation up to weight {report.max_weight}")
         else:
             lines.append(f"certified distance: {report.certified_distance}")
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     if args.expect is not None and report.certified_distance != args.expect:
-        print(
-            f"verification failed: certified distance {report.certified_distance} != expected {args.expect}",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+        return text, f"certified distance {report.certified_distance} != expected {args.expect}"
+    return text, None
 
 
-def _cmd_reconstruct(args: argparse.Namespace) -> int:
+def _cmd_reconstruct(args: argparse.Namespace) -> tuple[str, Optional[str]]:
     from .access_analysis import SecretPrior, reconstruct_classical, reconstruct_quantum
     from .code5 import encode_classical
     from .quantum_core import reduced_state
@@ -251,14 +246,12 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
             ],
             "fidelity": quantum.fidelity,
         }
-    _emit(_dump_json(doc), args.out)
     if secret is not None and not quantum.fidelity >= 1.0 - VERDICT_ATOL:
-        print(f"verification failed: fidelity {_fmt(quantum.fidelity)} < 1 - {VERDICT_ATOL:g}", file=sys.stderr)
-        return 2
-    return 0
+        return _dump_json(doc), f"fidelity {_fmt(quantum.fidelity)} < 1 - {VERDICT_ATOL:g}"
+    return _dump_json(doc), None
 
 
-def _cmd_search_classical(args: argparse.Namespace) -> int:
+def _cmd_search_classical(args: argparse.Namespace) -> tuple[str, None]:
     report = search_linear_schemes(args.n, args.k, args.max_rand, prune=not args.no_prune)
     required = share_size_bound(args.n, args.k)
     average = 2.0  # 1-bit shares: every alphabet has two symbols
@@ -273,25 +266,30 @@ def _cmd_search_classical(args: argparse.Namespace) -> int:
                 "satisfied": satisfied,
             },
         }
-        _emit(_dump_json(doc), args.out)
-    else:
-        lines = [
-            f"verdict: {'found' if report.found else 'none'}",
-            f"assignments tried: {report.assignments_tried}",
-            f"schemes completed: {report.schemes_completed}",
-            f"pruned (small subset qualified): {report.pruned_small_qualified}",
-            f"pruned (k-subset unqualified): {report.pruned_large_unqualified}",
-            f"share-size bound: average {_fmt(average)} vs required {required} -> "
-            + ("satisfied" if satisfied else "violated"),
-        ]
-        if report.witness is not None:
-            lines.append(f"witness vectors: {report.witness.vectors}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return _dump_json(doc), None
+    lines = [
+        f"verdict: {'found' if report.found else 'none'}",
+        f"assignments tried: {report.assignments_tried}",
+        f"schemes completed: {report.schemes_completed}",
+        f"pruned (small subset qualified): {report.pruned_small_qualified}",
+        f"pruned (k-subset unqualified): {report.pruned_large_unqualified}",
+        f"share-size bound: average {_fmt(average)} vs required {required} -> "
+        + ("satisfied" if satisfied else "violated"),
+    ]
+    if report.witness is not None:
+        lines.append(f"witness vectors: {report.witness.vectors}")
+    return "\n".join(lines) + "\n", None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so main reports them with exit 1."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsslab",
         description="Numerical laboratory for the five-qubit (3,5) quantum secret sharing scheme.",
     )
@@ -301,20 +299,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode.add_argument("--secret", type=int, choices=(0, 1), default=None)
     p_encode.add_argument("--alpha0", type=str, default=None, help="quantum secret amplitude for |0> ('re' or 're,im')")
     p_encode.add_argument("--alpha1", type=str, default=None, help="quantum secret amplitude for |1>")
-    p_encode.add_argument("--out", type=str, default=None)
     p_encode.set_defaults(func=_cmd_encode)
 
     p_report = sub.add_parser("report", help="classify all 31 share subsets")
     p_report.add_argument("--prior", type=float, default=0.5, help="probability q0 of secret bit 0")
     p_report.add_argument("--format", choices=("json", "table", "csv"), default="table")
-    p_report.add_argument("--out", type=str, default=None)
     p_report.set_defaults(func=_cmd_report)
 
     p_dist = sub.add_parser("distance", help="run the error-operator distance certification")
     p_dist.add_argument("--max-weight", type=int, default=3)
     p_dist.add_argument("--expect", type=int, default=None, help="fail (exit 2) unless the certified distance matches")
     p_dist.add_argument("--format", choices=("json", "table"), default="table")
-    p_dist.add_argument("--out", type=str, default=None)
     p_dist.set_defaults(func=_cmd_distance)
 
     p_rec = sub.add_parser("reconstruct", help="reconstruct the secret from a subset of shares")
@@ -325,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--expect-secret", type=int, choices=(0, 1), default=None, help="expected bit: fail (exit 2) on a fidelity below 1 - 1e-9")
     p_rec.add_argument("--expect-alpha0", type=str, default=None)
     p_rec.add_argument("--expect-alpha1", type=str, default=None)
-    p_rec.add_argument("--out", type=str, default=None)
     p_rec.set_defaults(func=_cmd_reconstruct)
 
     p_search = sub.add_parser("search-classical", help="search GF(2)-linear classical schemes")
@@ -334,28 +328,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--max-rand", type=int, default=5, help="largest randomness bit count to enumerate")
     p_search.add_argument("--no-prune", action="store_true")
     p_search.add_argument("--format", choices=("json", "table"), default="table")
-    p_search.add_argument("--out", type=str, default=None)
     p_search.set_defaults(func=_cmd_search_classical)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", type=str, default=None)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # argparse reads a value of "--", as in --prior=--, as an empty list.
-    for name, value in vars(args).items():
-        if isinstance(value, list):
-            print(f"error: --{name.replace('_', '-')} cannot take the value \"--\"", file=sys.stderr)
-            return 1
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # argparse reads a value of "--", as in --prior=--, as an empty list.
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise ValueError(f"--{name.replace('_', '-')} cannot take the value \"--\"")
+        text, failure = args.func(args)
+        _emit(text, args.out)
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if failure is not None:
+        print(f"verification failed: {failure}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

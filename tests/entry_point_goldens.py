@@ -4,7 +4,10 @@ Run as ``python tests/entry_point_goldens.py`` after ``pip install -e .``.
 ``tests/test_goldens.py`` compares the same outputs in-process through
 ``cli.main``; this script runs each argv of ``perfbench/workloads.GOLDENS``
 through the console script instead, so it also checks the installed
-wiring. Prints a unified diff for each mismatch; exit status 1 if any.
+wiring. Two more commands then check the exit contract through the shell:
+a usage error exits 1 with one ``error:`` line and no output, and a failed
+``--expect`` exits 2 after writing its full output. Prints a unified diff
+for each mismatch and a line for each broken contract; exit status 1 if any.
 """
 
 import difflib
@@ -27,4 +30,17 @@ for name, argv in sorted(workloads.GOLDENS.items()):
         lines = [text.decode("utf-8").splitlines(True) for text in (golden, out)]
         sys.stdout.writelines(difflib.unified_diff(*lines, name, "qsslab " + " ".join(argv)))
 print(f"{len(workloads.GOLDENS) - len(failed)} of {len(workloads.GOLDENS)} goldens match")
-sys.exit(1 if failed else 0)
+
+usage = subprocess.run(["qsslab", "distance", "--tolerance", "2"], capture_output=True)
+expect = subprocess.run(["qsslab", "distance", "--max-weight", "2", "--expect", "3"], capture_output=True)
+contract = {
+    "a usage error exits 1 with one error: line": usage.returncode == 1
+    and usage.stdout == b""
+    and usage.stderr.startswith(b"error: ")
+    and usage.stderr.count(b"\n") == 1,
+    "a failed --expect exits 2 after its full table": expect.returncode == 2
+    and expect.stdout == (workloads.GOLDEN_DIR / "distance_w2.table").read_bytes(),
+}
+for rule, held in contract.items():
+    print(f"{'ok' if held else 'BROKEN'}: {rule}")
+sys.exit(1 if failed or not all(contract.values()) else 0)

@@ -144,14 +144,38 @@ MUTANTS = [
     (
         "cli-double-dash-check-dropped",
         "src/qsslab/cli.py",
-        "        if isinstance(value, list):\n",
-        "        if False:\n",
+        "            if isinstance(value, list):\n",
+        "            if False:\n",
     ),
     (
         "cli-empty-out-check-dropped",
         "src/qsslab/cli.py",
         "    if out_path is not None:\n",
         "    if out_path:\n",
+    ),
+    (
+        "cli-expect-failure-ignored",
+        "src/qsslab/cli.py",
+        "    if failure is not None:\n",
+        "    if False:\n",
+    ),
+    (
+        "cli-output-dropped-on-failure",
+        "src/qsslab/cli.py",
+        "        _emit(text, args.out)\n",
+        "        if failure is None:\n            _emit(text, args.out)\n",
+    ),
+    (
+        "cli-empty-members-dropped",
+        "src/qsslab/cli.py",
+        'split(",")]',
+        'split(",") if tok]',
+    ),
+    (
+        "cli-usage-error-exits-2",
+        "src/qsslab/cli.py",
+        "        raise ValueError(message)\n",
+        "        raise RuntimeError(message)\n",
     ),
 ]
 

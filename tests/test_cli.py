@@ -4,6 +4,7 @@ import io
 import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from qsslab import access_analysis
 from qsslab.cli import main, read_state, state_from_document, state_to_document
 from qsslab.code5 import encode_classical
 from qsslab.quantum_core import DensityMatrix
+
+#: stdout of ``distance --max-weight 2``, recorded for the benchmark; only read here.
+DISTANCE_W2 = Path(__file__).resolve().parent.parent / "perfbench" / "goldens" / "distance_w2.table"
 
 
 def run(*argv) -> int:
@@ -227,8 +231,20 @@ class TestDistanceCommand:
         assert [w["violations"] for w in doc["weights"]] == [0, 0, 30]
 
     def test_unexpected_distance_fails_with_2(self, capsys):
+        # The full table is written before the failed check is reported.
         assert run("distance", "--max-weight", "2", "--expect", "3") == 2
-        assert "verification failed" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out.encode("utf-8") == DISTANCE_W2.read_bytes()
+        assert captured.err == "verification failed: certified distance None != expected 3\n"
+
+    def test_unexpected_distance_still_writes_out_file(self, tmp_path, capsys):
+        out = tmp_path / "distance.table"
+        assert run("distance", "--max-weight", "2", "--expect", "3", "--out", str(out)) == 2
+        assert out.read_bytes() == DISTANCE_W2.read_bytes()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification failed: ")
+        assert captured.err.count("\n") == 1
 
     def test_table_output(self, capsys):
         assert run("distance", "--max-weight", "2") == 0
@@ -237,10 +253,11 @@ class TestDistanceCommand:
 
     def test_tolerance_flag_is_refused(self, capsys):
         # The class values are exact: no flag may loosen the certificate.
-        with pytest.raises(SystemExit) as exc:
-            run("distance", "--tolerance", "2")
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --tolerance 2" in capsys.readouterr().err
+        # A usage error exits 1, so exit 2 only ever means a failed check.
+        assert run("distance", "--tolerance", "2") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unrecognized arguments: --tolerance 2\n"
 
 
     def test_unparsable_amplitude_fails(self, capsys):
@@ -419,8 +436,13 @@ class TestReconstructCommand:
             (".", "1,2,3", "error: cannot read state file "),
             (None, "1,a", "error: cannot parse members"),
             (None, "1,1,2", "error: duplicate members"),
+            (None, "1,,2,3", "error: cannot parse members"),
+            (None, ",1,2,3,", "error: cannot parse members"),
         ],
-        ids=["missing-file", "directory", "unparsable-members", "duplicate-members"],
+        ids=[
+            "missing-file", "directory", "unparsable-members", "duplicate-members",
+            "empty-member", "empty-edge-members",
+        ],
     )
     def test_bad_state_path_or_members_fail(self, state_file, tmp_path, capsys, state, members, message):
         path = state_file if state is None else str(tmp_path / state)
@@ -670,17 +692,12 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @given(argv=argvs())
 def test_every_argv_exits_cleanly(fuzz_dir, argv):
-    # No traceback: argparse's usage errors exit 2 with a usage line, and
-    # every other failure prints exactly one line, error: or verification fail.
+    # No traceback and no SystemExit: every failure, usage errors included,
+    # returns from main and prints exactly one line, error: or verification fail.
     argv = [arg.replace("@", f"{fuzz_dir}{os.sep}") for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            assert exc.code == 2
-            assert err.getvalue().startswith("usage: qsslab")
-            return
+        code = main(argv)
     lines = err.getvalue().splitlines(keepends=True)
     if code == 0:
         assert lines == []
