@@ -1,7 +1,7 @@
 """Access-structure analysis of the five-qubit sharing scheme.
 
 A subset J of the five participants is Qualified exactly when it holds an
-element of the logical-Z coset (``symplectic.holds_logical_z``), and every
+element of the logical-Z coset (``code5.holds_logical_z``), and every
 verdict here reads that predicate. The dense Holevo information and trace
 distance of the code words' reductions rho0^J and rho1^J are printed and
 checked against it; a disagreement is an implementation bug and raises.
@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .code5 import QubitSecret, encode_classical
+from .code5 import QubitSecret, encode_classical, holds_logical_z
 from .quantum_core import (
     DensityMatrix,
     all_nonempty_subsets,
@@ -33,7 +33,6 @@ from .quantum_core import (
     trace_norm,
     von_neumann_entropy,
 )
-from .symplectic import holds_logical_z
 from .tolerances import NORM_ATOL, VERDICT_ATOL
 
 
@@ -193,7 +192,7 @@ def reconstruct_classical(
 ) -> ClassicalReconstruction:
     """Guess the classical secret from the shares in J.
 
-    When J holds a logical Z (``symplectic.holds_logical_z``), measuring
+    When J holds a logical Z (``code5.holds_logical_z``), measuring
     the projector P onto the support of rho0^J against its complement
     reads the bit: the guess is 0 when tr(P rho) >= 1/2, and the optimal
     success probability is exactly 1. A code word's reduction is flat,
@@ -264,7 +263,7 @@ def reconstruct_quantum(
     ``state`` must be the reduced state on J of an encoded secret; the
     recovery channel then returns that secret exactly. When ``secret`` is
     supplied, the fidelity <secret|recovered|secret> is reported as well.
-    A J without a logical Z (``symplectic.holds_logical_z``) holds no
+    A J without a logical Z (``code5.holds_logical_z``) holds no
     information and raises UnqualifiedSubsetError.
     """
     members = share_subset(j)

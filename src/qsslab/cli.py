@@ -17,7 +17,7 @@ with VERDICT_ATOL, ``search-classical`` 1-bit shares with n - k + 2.
 
 The numeric modules, and with them numpy, are imported inside the
 subcommands that compute with them: ``distance``, ``search-classical``
-and ``--help`` run on pure-Python code alone (the symplectic distance
+and ``--help`` run on pure-Python code alone (``code5``'s (x | z) distance
 certificate and the GF(2) search).
 """
 
@@ -30,7 +30,7 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from .classical_bound import search_linear_schemes, share_size_bound
-from .symplectic import verify_distance
+from .code5 import verify_distance
 from .tolerances import VERDICT_ATOL
 
 if TYPE_CHECKING:

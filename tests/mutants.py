@@ -71,15 +71,33 @@ MUTANTS = [
     ),
     (
         "logical-z-reads-the-stabilizer-class",
-        "src/qsslab/symplectic.py",
+        "src/qsslab/code5.py",
         "        diag_diff == 2.0 and all(",
         "        diag_diff == 0.0 and all(",
     ),
     (
         "normalizer-zbar-xbar-swap",
-        "src/qsslab/symplectic.py",
+        "src/qsslab/code5.py",
         "classes = ((0, 0.0, 0.0), (z, 0.0, 2.0), (x, 1.0, 0.0), (z ^ x, 1.0, 0.0))",
         "classes = ((0, 0.0, 0.0), (z, 1.0, 0.0), (x, 0.0, 2.0), (z ^ x, 1.0, 0.0))",
+    ),
+    (
+        "logical-z-support-inverted",
+        "src/qsslab/code5.py",
+        'all(c == "I" or q in members for',
+        'all(c == "I" or q not in members for',
+    ),
+    (
+        "distance-last-violation-reported-first",
+        "src/qsslab/code5.py",
+        "first_violation=violating[0] if violating else None,",
+        "first_violation=violating[-1] if violating else None,",
+    ),
+    (
+        "scan-order-support-inverted",
+        "src/qsslab/code5.py",
+        'return [c == "I" for c in letters], letters',
+        'return [c != "I" for c in letters], letters',
     ),
     (
         "density-psd-bound-loosened",
@@ -187,6 +205,9 @@ MUTANTS = [
 #   so no lookup ever reads such an entry.
 # - code5.encode_classical halving by `* 0.5` instead of `/ 2`: both halve
 #   exactly in binary and give equal tobytes() words, signs of zero included.
+# - code5._apply reading the sign parity from the target index, `c & z` for
+#   `(c ^ x) & z`: the two differ by popcount(x & z), which is 0 for every
+#   operator _apply receives (the generators and XXXXX have no Y).
 # - quantum_core._jacobi_eig returning early for n == 1: a 1 x 1 matrix has
 #   no off-diagonal mass, so the general path stops before any rotation and
 #   returns the same diagonal and identity vector.

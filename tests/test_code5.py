@@ -5,7 +5,7 @@ the textbook amplitude tables below, and against words rebuilt with the
 dense numpy Pauli kernel ``_pauli_action`` below, which shares no code
 with the pure-Python build. That kernel is cross-checked against explicit
 32x32 matrices built with np.kron, an entirely separate route from its
-bit-twiddling. The symplectic distance certificate is checked against the
+bit-twiddling. The (x | z) distance certificate is checked against the
 dense scan below, which applies every operator to both code words.
 """
 
@@ -15,15 +15,20 @@ import numpy as np
 import pytest
 
 from qsslab.code5 import (
+    LOGICAL_X,
+    LOGICAL_Z,
+    STABILIZERS,
     DistanceReport,
     QubitSecret,
     WeightCheck,
     encode_classical,
     encode_quantum,
+    normalizer,
+    pauli_letters,
+    symplectic,
     verify_distance,
 )
 from qsslab.quantum_core import PureState, all_nonempty_subsets, reduced_state
-from qsslab.symplectic import LOGICAL_X, LOGICAL_Z, STABILIZERS, normalizer, pauli_letters, symplectic
 from qsslab.tolerances import VERDICT_ATOL
 
 #: Textbook (bit string, sign) terms of the code words for bits 0 and 1,

@@ -1,6 +1,8 @@
 """The package exports what it documents, and removed names stay removed."""
 
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,8 +133,21 @@ def test_unknown_attribute_raises_attribute_error():
 
 def test_one_distance_certificate_behind_every_name():
     # A span tracer that patches the name in qsslab, code5 and cli sees every
-    # call only while the three names bind one function.
+    # call only while the three names bind one function, the one code5
+    # defines; the generators and the code words share that one module.
     assert qsslab.verify_distance is code5.verify_distance is cli.verify_distance
+    assert code5.verify_distance.__module__ == "qsslab.code5"
+    assert importlib.util.find_spec("qsslab.symplectic") is None
+
+
+def test_readme_layout_lists_every_module():
+    # The "  name.py" entries between "src/qsslab/" and the next top-level
+    # entry of README's Layout block, against the modules on disk.
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("## Layout", 1)[1].split("```")[1]
+    package = re.search(r"^src/qsslab/\n(.*?)^\S", block, re.MULTILINE | re.DOTALL).group(1)
+    listed = re.findall(r"^  (\w+\.py) ", package, re.MULTILINE)
+    modules = {path.name for path in (ROOT / "src" / "qsslab").glob("*.py")} - {"__init__.py", "__main__.py"}
+    assert sorted(listed) == sorted(modules)
 
 
 def run_fresh(code: str) -> tuple[str, bool]:
@@ -192,7 +207,7 @@ class TestImportBoundary:
 
     def test_logical_z_predicate_leaves_numpy_out(self):
         out, numpy_imported = run_fresh(
-            "from qsslab.symplectic import holds_logical_z\n"
+            "from qsslab.code5 import holds_logical_z\n"
             "print(holds_logical_z((1, 2, 3)), holds_logical_z((4, 5)))"
         )
         assert out == "True False\n"

@@ -23,7 +23,7 @@ from qsslab import (
     von_neumann_entropy,
 )
 from qsslab.access_analysis import Classification
-from qsslab.symplectic import holds_logical_z
+from qsslab.code5 import holds_logical_z
 
 from gf2_oracle import gf2_in_span, gf2_rank
 
