@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 usage or domain error (unknown flags, bad
 values, malformed files, states outside the code space, an empty or
-unwritable --out path), 2 verification failure (a failed --expect check
-or any internal RuntimeError). Each subcommand returns its output and the
-reason a check failed; ``main`` alone writes them and picks the exit code.
-All numeric table/csv output carries 15 significant digits; JSON uses
-exact round-trip floats.
+unwritable --out path, a failed write to stdout), 2 verification failure
+(a failed --expect check or any internal RuntimeError). Each subcommand
+returns its output and the reason a check failed; ``main`` alone writes
+them and picks the exit code. All numeric table/csv output carries 15
+significant digits; JSON uses exact round-trip floats.
 
 ``reconstruct --expect-*`` exits 2, after writing its JSON, when the
 recovered state's fidelity with the expected secret is below 1 -
@@ -79,6 +79,8 @@ def read_state(path: str) -> PureState:
         raise ValueError(f"cannot read state file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"state file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"state file {path} is not UTF-8: {exc}") from exc
     except RecursionError as exc:
         # A RuntimeError, which main reports as a verification failure.
         raise ValueError(f"state file {path} is nested too deeply: {exc}") from exc
@@ -90,14 +92,21 @@ def _dump_json(doc: dict) -> str:
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path is not None:
-        try:
+    # Flushing stdout here makes a full disk or a closed pipe one error
+    # line and exit 1, not a traceback.
+    try:
+        if out_path is not None:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {out_path}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if out_path is None:
+            # Drop the stream and the text still in its buffer, which the
+            # interpreter would otherwise fail to flush again at exit.
+            sys.stdout = None
+        raise ValueError(f"cannot write {'<stdout>' if out_path is None else out_path}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:

@@ -154,6 +154,19 @@ MUTANTS = [
         "if t.bit_count() <= k - 3)",
     ),
     (
+        "search-child-key-without-parent-pairs",
+        "src/qsslab/classical_bound.py",
+        "            child_key = key + _key_pair(index, x, secret_vec)\n",
+        "            child_key = _key_pair(index, x, secret_vec)\n",
+    ),
+    (
+        "search-memo-hit-replays-nothing",
+        "src/qsslab/classical_bound.py",
+        "            counts = memo.get(child_key)\n            if counts is None:\n",
+        "            counts = memo.get(child_key)\n            if counts is not None:\n"
+        "                counts = (0, 0, 0, 0)\n            else:\n",
+    ),
+    (
         "threshold-rows-skip-k-subsets",
         "src/qsslab/classical_bound.py",
         "for t, s in enumerate(sums) if t.bit_count() <= k\n",
@@ -194,6 +207,54 @@ MUTANTS = [
         "src/qsslab/cli.py",
         "        raise ValueError(message)\n",
         "        raise RuntimeError(message)\n",
+    ),
+    (
+        "cli-nested-state-file-exits-2",
+        "src/qsslab/cli.py",
+        "    except RecursionError as exc:\n",
+        "    except ZeroDivisionError as exc:\n",
+    ),
+    (
+        "cli-non-utf8-state-file-unnamed",
+        "src/qsslab/cli.py",
+        "    except UnicodeDecodeError as exc:\n",
+        "    except ZeroDivisionError as exc:\n",
+    ),
+    (
+        "cli-qubit-count-check-dropped",
+        "src/qsslab/cli.py",
+        "    if psi.num_qubits != 5:\n",
+        "    if False:\n",
+    ),
+    (
+        "cli-code-space-check-dropped",
+        "src/qsslab/cli.py",
+        "    if not weight >= 1.0 - VERDICT_ATOL:\n",
+        "    if False:\n",
+    ),
+    (
+        "cli-format-accepts-bool",
+        "src/qsslab/cli.py",
+        'if type(doc.get("format")) is not int',
+        'if not isinstance(doc.get("format"), int)',
+    ),
+    (
+        "cli-num-qubits-accepts-bool",
+        "src/qsslab/cli.py",
+        "    if type(num_qubits) is not int:\n",
+        "    if not isinstance(num_qubits, int):\n",
+    ),
+    (
+        "cli-stdout-unflushed",
+        "src/qsslab/cli.py",
+        "            sys.stdout.flush()\n",
+        "",
+    ),
+    (
+        "cli-failed-stdout-flushed-again-at-exit",
+        "src/qsslab/cli.py",
+        "            sys.stdout = None\n",
+        "            pass\n",
     ),
 ]
 

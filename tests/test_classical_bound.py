@@ -27,6 +27,7 @@ from qsslab.classical_bound import (
     share_size_bound,
 )
 
+from cli_contract import check_exit
 from gf2_oracle import gf2_in_span, gf2_rank
 
 XOR_SCHEME = LinearScheme(n=2, m=1, vectors=((1, 1), (0, 1)))
@@ -363,11 +364,10 @@ class TestSearch:
         monkeypatch.setattr(classical_bound, "_threshold_rows", lambda rows, m, k: False)
         with pytest.raises(RuntimeError, match="inconsistent leaf"):
             search_linear_schemes(2, 2, 2)
-        assert cli.main(["search-classical", "--n", "2", "--k", "2", "--max-rand", "2"]) == 2
+        code = cli.main(["search-classical", "--n", "2", "--k", "2", "--max-rand", "2"])
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("verification failure:")
-        assert captured.err.count("\n") == 1
+        assert (code, captured.out) == (2, "")
+        assert check_exit(code, captured.out, captured.err).startswith("verification failure: ")
 
 
 def orbit_key(vectors, secret_vec: int) -> tuple[int, ...]:

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsslab import access_analysis
+from qsslab import access_analysis, cli
 from qsslab.cli import main, read_state, state_from_document, state_to_document
 from qsslab.code5 import encode_classical
 from qsslab.quantum_core import DensityMatrix
+
+from cli_contract import check_exit
 
 #: stdout of ``distance --max-weight 2``, recorded for the benchmark; only read here.
 DISTANCE_W2 = Path(__file__).resolve().parent.parent / "perfbench" / "goldens" / "distance_w2.table"
@@ -22,6 +26,13 @@ DISTANCE_W2 = Path(__file__).resolve().parent.parent / "perfbench" / "goldens" /
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def checked(capsys, *argv) -> tuple[int, str, str]:
+    """Run ``main`` on ``argv`` and check the exit contract: the code, stdout and the one stderr line."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, check_exit(code, captured.out, captured.err)
 
 
 class TestStateFormat:
@@ -69,15 +80,6 @@ class TestStateFormat:
         with pytest.raises(ValueError, match="malformed state document"):
             state_from_document(doc)
 
-    def test_boolean_amplitudes_exit_1(self, tmp_path, capsys):
-        path = tmp_path / "bool.json"
-        path.write_text('{"format": 1, "num_qubits": 1, "amplitudes": [[true, false], [false, false]]}')
-        assert run("reconstruct", "--state", str(path), "--members", "1,2,3") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: malformed state document")
-        assert captured.err.count("\n") == 1
-
 
 class TestEncodeCommand:
     def test_encode_writes_valid_state(self, tmp_path):
@@ -104,33 +106,6 @@ class TestEncodeCommand:
         ) == 0
         psi = read_state(str(out))
         assert psi.amplitudes[0] == pytest.approx(0.17677669529663687, abs=1e-12)
-
-    def test_conflicting_inputs_fail(self, tmp_path, capsys):
-        assert run("encode", "--secret", "0", "--alpha0", "1", "--alpha1", "0") == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_directory_out_path_fails(self, tmp_path, capsys):
-        assert run("encode", "--secret", "0", "--out", str(tmp_path)) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: cannot write {tmp_path}:")
-        assert captured.err.count("\n") == 1
-
-    def test_missing_inputs_fail(self):
-        assert run("encode") == 1
-
-    def test_overflowing_amplitude_fails(self, capsys):
-        assert run("encode", "--alpha0", "1e200", "--alpha1", "0") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: secret is not normalized: |alpha|^2 = inf\n"
-
-    def test_non_finite_amplitude_fails(self, tmp_path, capsys):
-        out = tmp_path / "nan.json"
-        assert run("encode", "--alpha0", "nan", "--alpha1", "0", "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
-        assert not out.exists()
 
 
 class TestReportCommand:
@@ -170,15 +145,6 @@ class TestReportCommand:
         assert "threshold(3,5) structure: true" in text
         assert "{1,2,3,4,5}" in text
 
-    def test_invalid_prior_fails(self, capsys):
-        assert run("report", "--prior", "1.5") == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_nan_prior_fails(self, capsys):
-        assert run("report", "--prior", "nan") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
-
     def test_negative_zero_prior_prints_zero(self, capsys):
         assert run("report", "--prior", "-0.0") == 0
         assert "prior: q0=0 q1=1\n" in capsys.readouterr().out
@@ -195,28 +161,23 @@ class TestReportCommand:
             return rho0, DensityMatrix((1 - eps) * rho1.matrix + eps * rho0.matrix)
 
         monkeypatch.setattr(access_analysis, "codeword_reductions", leaky)
-        assert run("report") == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("verification failure: subset (1, 2, 3):")
-        assert captured.err.count("\n") == 1
+        code, out, line = checked(capsys, "report")
+        assert (code, out) == (2, "")
+        assert line.startswith("verification failure: subset (1, 2, 3):")
 
     def test_wrong_logical_z_class_fails_with_2(self, monkeypatch, capsys):
         # Every single share gains a logical Z, which its zero trace distance refutes.
         monkeypatch.setattr(access_analysis, "holds_logical_z", lambda members: len(members) < 3)
-        assert run("report") == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("verification failure: subset (1,): holevo=")
-        assert captured.err.count("\n") == 1
+        code, out, line = checked(capsys, "report")
+        assert (code, out) == (2, "")
+        assert line.startswith("verification failure: subset (1,): holevo=")
 
     def test_negative_tolerance_fails_with_2(self, monkeypatch, capsys):
         # A negative tolerance lets no subset agree with its verdict.
         monkeypatch.setattr(access_analysis, "VERDICT_ATOL", -1.0)
-        assert run("report", "--prior", "0.5") == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("verification failure:")
+        code, out, line = checked(capsys, "report", "--prior", "0.5")
+        assert (code, out) == (2, "")
+        assert line.startswith("verification failure:")
 
 
 class TestDistanceCommand:
@@ -239,33 +200,14 @@ class TestDistanceCommand:
 
     def test_unexpected_distance_still_writes_out_file(self, tmp_path, capsys):
         out = tmp_path / "distance.table"
-        assert run("distance", "--max-weight", "2", "--expect", "3", "--out", str(out)) == 2
+        code, stdout, line = checked(capsys, "distance", "--max-weight", "2", "--expect", "3", "--out", str(out))
+        assert (code, stdout) == (2, "") and line.startswith("verification failed: ")
         assert out.read_bytes() == DISTANCE_W2.read_bytes()
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("verification failed: ")
-        assert captured.err.count("\n") == 1
 
     def test_table_output(self, capsys):
         assert run("distance", "--max-weight", "2") == 0
         text = capsys.readouterr().out
         assert "no violation up to weight 2" in text
-
-    def test_tolerance_flag_is_refused(self, capsys):
-        # The class values are exact: no flag may loosen the certificate.
-        # A usage error exits 1, so exit 2 only ever means a failed check.
-        assert run("distance", "--tolerance", "2") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: unrecognized arguments: --tolerance 2\n"
-
-
-    def test_unparsable_amplitude_fails(self, capsys):
-        assert run("encode", "--alpha0=1,2,3", "--alpha1=0") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: cannot parse complex number")
-        assert captured.err.count("\n") == 1
 
 
 class TestReconstructCommand:
@@ -313,38 +255,9 @@ class TestReconstructCommand:
 
     def test_wrong_logical_z_class_fails_with_2(self, state_file, monkeypatch, capsys):
         monkeypatch.setattr(access_analysis, "holds_logical_z", lambda members: len(members) < 3)
-        assert run("reconstruct", "--state", state_file, "--members", "1,2,3", "--mode", "classical") == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("verification failure: subset (1, 2, 3): success probability ")
-        assert captured.err.count("\n") == 1
-
-    def test_quantum_on_forbidden_subset_fails(self, state_file, capsys):
-        assert run(
-            "reconstruct", "--state", state_file, "--members", "4,5",
-            "--mode", "quantum",
-        ) == 1
-        assert "unqualified" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--expect-alpha0", "1"], "error: --expect-alpha0 and --expect-alpha1 must be given together\n"),
-            (
-                ["--expect-secret", "1", "--expect-alpha0", "1", "--expect-alpha1", "0"],
-                "error: give either --expect-secret or --expect-alpha0/1, not both\n",
-            ),
-        ],
-        ids=["incomplete-pair", "conflicting"],
-    )
-    def test_classical_mode_checks_expect_flags(self, state_file, capsys, flags, message):
-        assert run(
-            "reconstruct", "--state", state_file, "--members", "1,2,3",
-            "--mode", "classical", *flags,
-        ) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == message
+        code, out, line = checked(capsys, "reconstruct", "--state", state_file, "--members", "1,2,3", "--mode", "classical")
+        assert (code, out) == (2, "")
+        assert line.startswith("verification failure: subset (1, 2, 3): success probability ")
 
     @pytest.mark.parametrize("mode", ["quantum", "both"])
     @pytest.mark.parametrize(
@@ -353,147 +266,28 @@ class TestReconstructCommand:
         ids=["bit", "amplitudes"],
     )
     def test_expected_secret_mismatch_fails_with_2(self, state_file, capsys, mode, flags):
-        assert run(
-            "reconstruct", "--state", state_file, "--members", "1,2,3", "--mode", mode, *flags,
-        ) == 2
-        captured = capsys.readouterr()
-        doc = json.loads(captured.out)
-        assert doc["quantum"]["fidelity"] < 1.0 - 1e-9
-        assert captured.err.startswith("verification failed: fidelity ")
-        assert captured.err.count("\n") == 1
+        code, out, line = checked(capsys, "reconstruct", "--state", state_file, "--members", "1,2,3", "--mode", mode, *flags)
+        assert code == 2
+        assert json.loads(out)["quantum"]["fidelity"] < 1.0 - 1e-9
+        assert line.startswith("verification failed: fidelity ")
 
     def test_expected_amplitudes_match(self, tmp_path, capsys):
         path = tmp_path / "q.json"
         assert run("encode", "--alpha0", "0.6", "--alpha1", "0,0.8", "--out", str(path)) == 0
-        assert run(
-            "reconstruct", "--state", str(path), "--members", "2,4,5", "--mode", "quantum",
+        code, out, _ = checked(
+            capsys, "reconstruct", "--state", str(path), "--members", "2,4,5", "--mode", "quantum",
             "--expect-alpha0", "0.6", "--expect-alpha1", "0,0.8",
-        ) == 0
-        captured = capsys.readouterr()
-        assert json.loads(captured.out)["quantum"]["fidelity"] == pytest.approx(1.0, abs=1e-9)
-        assert captured.err == ""
-
-    @pytest.mark.parametrize(
-        "flags",
-        [["--expect-secret", "1"], ["--expect-alpha0", "0", "--expect-alpha1", "1"]],
-        ids=["bit", "amplitudes"],
-    )
-    def test_classical_mode_refuses_an_expected_secret(self, state_file, capsys, flags):
-        # Classical mode recovers no state, so nothing could be checked.
-        assert run(
-            "reconstruct", "--state", state_file, "--members", "1,2,3", "--mode", "classical", *flags,
-        ) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: --expect-* needs --mode quantum or both")
-        assert captured.err.count("\n") == 1
-
-    def test_malformed_state_file_fails(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run("reconstruct", "--state", str(bad), "--members", "1,2,3") == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_deeply_nested_state_file_fails(self, tmp_path, capsys):
-        # The JSON decoder raises RecursionError, a RuntimeError, on this file.
-        path = tmp_path / "deep.json"
-        path.write_text("[" * 200_000)
-        assert run("reconstruct", "--state", str(path), "--members", "1,2,3") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: state file {path} is nested too deeply")
-        assert captured.err.count("\n") == 1
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [("format", True), ("format", 1.0), ("num_qubits", 5.5), ("num_qubits", "5")],
-    )
-    def test_non_integer_field_fails(self, tmp_path, capsys, field, value):
-        doc = state_to_document(encode_classical(0))
-        doc[field] = value
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps(doc))
-        assert run("reconstruct", "--state", str(path), "--members", "1,2,3") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("error:") == 1
-        assert captured.err.startswith("error: ")
-
-    def test_overflowing_norm_state_file_fails(self, tmp_path, capsys):
-        # |psi|^2 of this file overflows to NaN; it must read as unnormalized.
-        path = tmp_path / "huge.json"
-        amps = [[1e308, 1e308]] + [[0.0, 0.0]] * 31
-        path.write_text(json.dumps({"format": 1, "num_qubits": 5, "amplitudes": amps}))
-        assert run("reconstruct", "--state", str(path), "--members", "1,2,3") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == ["error: state is not normalized: |psi|^2 = nan"]
-
-    @pytest.mark.parametrize(
-        "state, members, message",
-        [
-            ("missing.json", "1,2,3", "error: cannot read state file "),
-            (".", "1,2,3", "error: cannot read state file "),
-            (None, "1,a", "error: cannot parse members"),
-            (None, "1,1,2", "error: duplicate members"),
-            (None, "1,,2,3", "error: cannot parse members"),
-            (None, ",1,2,3,", "error: cannot parse members"),
-        ],
-        ids=[
-            "missing-file", "directory", "unparsable-members", "duplicate-members",
-            "empty-member", "empty-edge-members",
-        ],
-    )
-    def test_bad_state_path_or_members_fail(self, state_file, tmp_path, capsys, state, members, message):
-        path = state_file if state is None else str(tmp_path / state)
-        assert run("reconstruct", "--state", path, "--members", members) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(message)
-        assert captured.err.count("\n") == 1
-
-    def test_bad_members_fail(self, state_file):
-        assert run("reconstruct", "--state", state_file, "--members", "1,9") == 1
-
-    def test_three_qubit_state_file_fails(self, tmp_path, capsys):
-        path = tmp_path / "three.json"
-        amps = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
-        path.write_text(json.dumps({"format": 1, "num_qubits": 3, "amplitudes": amps}))
-        assert run("reconstruct", "--state", str(path), "--members", "1,2,3") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "five-qubit" in captured.err
-
-    def test_state_outside_code_space_fails(self, tmp_path, capsys):
-        path = tmp_path / "zeros.json"
-        amps = [[1.0, 0.0]] + [[0.0, 0.0]] * 31
-        path.write_text(json.dumps({"format": 1, "num_qubits": 5, "amplitudes": amps}))
-        assert run(
-            "reconstruct", "--state", str(path), "--members", "1,2,3",
-            "--expect-secret", "0",
-        ) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "outside the code space: weight 0.0625" in captured.err
-
-    def test_overflowing_expected_amplitude_fails(self, state_file, capsys):
-        assert run(
-            "reconstruct", "--state", state_file, "--members", "1,2,3",
-            "--expect-alpha0", "1e200", "--expect-alpha1", "0",
-        ) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: secret is not normalized: |alpha|^2 = inf\n"
+        )
+        assert code == 0
+        assert json.loads(out)["quantum"]["fidelity"] == pytest.approx(1.0, abs=1e-9)
 
     def test_internal_failure_fails_with_2(self, state_file, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise RuntimeError("recovery failed")
 
         monkeypatch.setattr(access_analysis, "reconstruct_quantum", fail)
-        assert run("reconstruct", "--state", state_file, "--members", "1,2,3") == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "verification failure: recovery failed\n"
+        code, out, line = checked(capsys, "reconstruct", "--state", state_file, "--members", "1,2,3")
+        assert (code, out, line) == (2, "", "verification failure: recovery failed\n")
 
 
 class TestSearchCommand:
@@ -515,89 +309,33 @@ class TestSearchCommand:
         assert "verdict: none" in text
         assert "violated" in text
 
-    def test_bad_parameters_fail(self, capsys):
-        assert run("search-classical", "--n", "7", "--k", "2") == 1
-        assert "error:" in capsys.readouterr().err
 
-    def test_out_path_in_missing_directory_fails(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "x.txt"
-        assert run(
-            "search-classical", "--n", "2", "--k", "2", "--max-rand", "2", "--out", str(out),
-        ) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: cannot write {out}:")
-        assert captured.err.count("\n") == 1
-        assert not out.parent.exists()
+class TestStdoutWrite:
+    """A failed write to stdout is one error line and exit 1, not a traceback."""
 
+    def test_closed_pipe(self):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
 
-class TestOutOfRangeArguments:
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["distance", "--max-weight", "0"], "error: max_weight must be in 1..5"),
-            (["distance", "--max-weight", "6"], "error: max_weight must be in 1..5"),
-            (["search-classical", "--n", "5", "--k", "0"], "error: need 1 <= k <= n"),
-            (
-                ["search-classical", "--n", "5", "--k", "3", "--max-rand", "6"],
-                "error: m_max must be in 0..5",
-            ),
-            (["reconstruct", "--members", "0,1"], "error: members must lie in 1..5"),
-            (
-                ["reconstruct", "--members", "1,2,3", "--prior", "nan"],
-                "error: probabilities must be finite",
-            ),
-            # An empty --out is refused, not read as "write to stdout".
-            (["encode", "--secret", "0", "--out="], "error: cannot write : "),
-            (["report", "--out="], "error: cannot write : "),
-            (["distance", "--out="], "error: cannot write : "),
-            (["search-classical", "--n", "2", "--k", "2", "--max-rand", "2", "--out="], "error: cannot write : "),
-            (["reconstruct", "--members", "1,2,3", "--out="], "error: cannot write : "),
-        ],
-        ids=[
-            "weight-0", "weight-6", "k-0", "max-rand-6", "member-0", "nan-prior",
-            "empty-out-encode", "empty-out-report", "empty-out-distance", "empty-out-search",
-            "empty-out-reconstruct",
-        ],
-    )
-    def test_fails_with_one_error_line(self, tmp_path, capsys, argv, message):
-        if argv[0] == "reconstruct":
-            path = tmp_path / "s1.json"
-            assert run("encode", "--secret", "1", "--out", str(path)) == 0
-            argv = argv + ["--state", str(path)]
-        assert run(*argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(message)
-        assert captured.err.count("\n") == 1
+        err = io.StringIO()
+        with redirect_stdout(ClosedPipe()), redirect_stderr(err):
+            code = main(["encode", "--secret", "0"])
+        assert (code, check_exit(code, "", err.getvalue())) == (1, "error: cannot write <stdout>: [Errno 32] Broken pipe\n")
 
-
-class TestDoubleDashValue:
-    """argparse reads a value of "--" as an empty list; main refuses it."""
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["report", "--prior=--"],
-            ["distance", "--max-weight=--"],
-            ["search-classical", "--n", "3", "--k=--"],
-            ["encode", "--alpha0=--", "--alpha1=0"],
-            ["encode", "--secret", "0", "--out=--"],
-            ["reconstruct", "--state=--", "--members", "1,2,3"],
-            ["reconstruct", "--state", "s1.json", "--members=--"],
-        ],
-        ids=["prior", "max-weight", "k", "alpha0", "out", "state", "members"],
-    )
-    def test_fails_with_one_error_line(self, tmp_path, capsys, argv):
-        path = tmp_path / "s1.json"
-        assert run("encode", "--secret", "1", "--out", str(path)) == 0
-        argv = [str(path) if arg == "s1.json" else arg for arg in argv]
-        assert run(*argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: --")
-        assert captured.err.endswith(' cannot take the value "--"\n')
-        assert captured.err.count("\n") == 1
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_full_device(self):
+        # A new interpreter with buffered stdout, as a shell gives it, so a
+        # second failure when it flushes at exit would show too.
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "qsslab", "encode", "--secret", "0"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        line = check_exit(result.returncode, "", result.stderr)
+        assert (result.returncode, line) == (1, "error: cannot write <stdout>: [Errno 28] No space left on device\n")
 
 
 #: Values no flag should turn into a traceback.
@@ -607,7 +345,9 @@ HOSTILE = ("nan", "-nan", "inf", "-inf", "1e400", "1_0", "٣", "1,,2", "", "--",
 #: only other values these flags get, so nothing is written outside it.
 STATE_PATHS = (
     "@s0.json", "@s1.json", "@plus.json", "@missing.json", "@out", "@notjson.json",
-    "@empty.json", "@list.json", "@three.json", "@outside.json", "@nested.json", "", "--",
+    "@empty.json", "@list.json", "@three.json", "@outside.json", "@nested.json", "@latin1.json",
+    "@bool.json", "@huge.json", "@format-true.json", "@format-float.json", "@qubits-float.json",
+    "@qubits-str.json", "@qubits-true.json", "", "--",
 )
 OUT_PATHS = ("@out/result.txt", "@out", "@missing/x.txt", "@s0.json/x.txt", "", "--")
 #: Each subcommand's flags with values that are valid or nearly so.
@@ -681,29 +421,170 @@ def fuzz_dir(tmp_path_factory):
     (root / "notjson.json").write_text("{not json")
     (root / "empty.json").write_text("")
     (root / "list.json").write_text("[]")
-    amps = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
-    (root / "three.json").write_text(json.dumps({"format": 1, "num_qubits": 3, "amplitudes": amps}))
-    amps = [[1.0, 0.0]] + [[0.0, 0.0]] * 31
-    (root / "outside.json").write_text(json.dumps({"format": 1, "num_qubits": 5, "amplitudes": amps}))
     (root / "nested.json").write_text("[" * 200_000)
+    (root / "latin1.json").write_bytes(b"\xff\xfe{}")
+    documents = {
+        "three": {"format": 1, "num_qubits": 3, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7},
+        "outside": {"format": 1, "num_qubits": 5, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 31},
+        "bool": {"format": 1, "num_qubits": 1, "amplitudes": [[True, False], [False, False]]},
+        # |psi|^2 of this state overflows to NaN.
+        "huge": {"format": 1, "num_qubits": 5, "amplitudes": [[1e308, 1e308]] + [[0.0, 0.0]] * 31},
+    }
+    for name, field, value in [
+        ("format-true", "format", True), ("format-float", "format", 1.0),
+        ("qubits-float", "num_qubits", 5.5), ("qubits-str", "num_qubits", "5"), ("qubits-true", "num_qubits", True),
+    ]:
+        documents[name] = {**state_to_document(encode_classical(0)), field: value}
+    for name, doc in documents.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
     return root
+
+
+#: (argv, exit code, message) for each failure a command must report. The
+#: message starts the one stderr line; one ending in a newline is the whole
+#: line. "@" stands for the fuzz directory in both argv and message.
+FAILURES = [
+    # encode
+    (["encode"], 1, "error: encode needs --secret or --alpha0/--alpha1\n"),
+    (["encode", "--secret", "0", "--alpha0", "1", "--alpha1", "0"], 1, "error: give either --secret or --alpha0/1, not both\n"),
+    (["encode", "--alpha0", "1e200", "--alpha1", "0"], 1, "error: secret is not normalized: |alpha|^2 = inf\n"),
+    (
+        ["encode", "--alpha0", "nan", "--alpha1", "0", "--out", "@nan.json"], 1,
+        "error: secret amplitudes must be finite: QubitSecret(alpha0=(nan+0j), alpha1=0j)\n",
+    ),
+    (["encode", "--alpha0=1,2,3", "--alpha1=0"], 1, "error: cannot parse complex number from '1,2,3' (use 're' or 're,im')\n"),
+    (["encode", "--secret", "0", "--out", "@out"], 1, "error: cannot write @out: "),
+    # report
+    (["report", "--prior", "1.5"], 1, "error: probabilities must be nonnegative: SecretPrior(q0=1.5, q1=-0.5)\n"),
+    (["report", "--prior", "nan"], 1, "error: probabilities must be finite: SecretPrior(q0=nan, q1=nan)\n"),
+    # distance; no flag may loosen the certificate, and a usage error exits 1
+    (["distance", "--tolerance", "2"], 1, "error: unrecognized arguments: --tolerance 2\n"),
+    (["distance", "--max-weight", "0"], 1, "error: max_weight must be in 1..5, got 0\n"),
+    (["distance", "--max-weight", "6"], 1, "error: max_weight must be in 1..5, got 6\n"),
+    (["distance", "--max-weight", "2", "--expect", "3"], 2, "verification failed: certified distance None != expected 3\n"),
+    # search-classical
+    (["search-classical", "--n", "7", "--k", "2"], 1, "error: n must be in 1..5, got 7\n"),
+    (["search-classical", "--n", "5", "--k", "0"], 1, "error: need 1 <= k <= n, got k=0\n"),
+    (["search-classical", "--n", "5", "--k", "3", "--max-rand", "6"], 1, "error: m_max must be in 0..5, got 6\n"),
+    (["search-classical", "--n", "2", "--k", "2", "--max-rand", "2", "--out", "@missing/x.txt"], 1, "error: cannot write @missing/x.txt: "),
+    # reconstruct: members and expected secrets
+    (["reconstruct", "--state", "@s1.json", "--members", "1,a"], 1, "error: cannot parse members from '1,a'\n"),
+    (["reconstruct", "--state", "@s1.json", "--members", "1,,2,3"], 1, "error: cannot parse members from '1,,2,3'\n"),
+    (["reconstruct", "--state", "@s1.json", "--members", ",1,2,3,"], 1, "error: cannot parse members from ',1,2,3,'\n"),
+    (["reconstruct", "--state", "@s1.json", "--members", "1,1,2"], 1, "error: duplicate members in (1, 1, 2)\n"),
+    (["reconstruct", "--state", "@s1.json", "--members", "1,9"], 1, "error: members must lie in 1..5, got (1, 9)\n"),
+    (["reconstruct", "--state", "@s1.json", "--members", "0,1"], 1, "error: members must lie in 1..5, got (0, 1)\n"),
+    (
+        ["reconstruct", "--state", "@s1.json", "--members", "4,5", "--mode", "quantum"], 1,
+        "error: subset (4, 5) is unqualified: reconstruction is impossible\n",
+    ),
+    (
+        ["reconstruct", "--state", "@s1.json", "--members", "1,2,3", "--prior", "nan"], 1,
+        "error: probabilities must be finite: SecretPrior(q0=nan, q1=nan)\n",
+    ),
+    (
+        ["reconstruct", "--state", "@s1.json", "--members", "1,2,3", "--mode", "classical", "--expect-alpha0", "1"], 1,
+        "error: --expect-alpha0 and --expect-alpha1 must be given together\n",
+    ),
+    (
+        ["reconstruct", "--state", "@s1.json", "--members", "1,2,3", "--mode", "classical",
+         "--expect-secret", "1", "--expect-alpha0", "1", "--expect-alpha1", "0"], 1,
+        "error: give either --expect-secret or --expect-alpha0/1, not both\n",
+    ),
+    *(
+        (
+            ["reconstruct", "--state", "@s1.json", "--members", "1,2,3", "--mode", "classical", *flags], 1,
+            "error: --expect-* needs --mode quantum or both: classical mode recovers no state to check\n",
+        )
+        for flags in (["--expect-secret", "1"], ["--expect-alpha0", "0", "--expect-alpha1", "1"])
+    ),
+    (
+        ["reconstruct", "--state", "@s1.json", "--members", "1,2,3", "--expect-alpha0", "1e200", "--expect-alpha1", "0"], 1,
+        "error: secret is not normalized: |alpha|^2 = inf\n",
+    ),
+    (["reconstruct", "--state", "@s1.json", "--members", "1,2,3", "--expect-secret", "0"], 2, "verification failed: fidelity 0 < 1 - 1e-09\n"),
+    # reconstruct: state files
+    (["reconstruct", "--state", "@missing.json", "--members", "1,2,3"], 1, "error: cannot read state file @missing.json: "),
+    (["reconstruct", "--state", "@.", "--members", "1,2,3"], 1, "error: cannot read state file @.: "),
+    (
+        ["reconstruct", "--state", "@notjson.json", "--members", "1,2,3"], 1,
+        "error: state file @notjson.json is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n",
+    ),
+    (
+        ["reconstruct", "--state", "@latin1.json", "--members", "1,2,3"], 1,
+        "error: state file @latin1.json is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+    ),
+    # The JSON decoder raises RecursionError, a RuntimeError, on this file.
+    (["reconstruct", "--state", "@nested.json", "--members", "1,2,3"], 1, "error: state file @nested.json is nested too deeply: "),
+    (["reconstruct", "--state", "@format-true.json", "--members", "1,2,3"], 1, "error: unsupported state format: True\n"),
+    (["reconstruct", "--state", "@format-float.json", "--members", "1,2,3"], 1, "error: unsupported state format: 1.0\n"),
+    (
+        ["reconstruct", "--state", "@qubits-float.json", "--members", "1,2,3"], 1,
+        "error: malformed state document: num_qubits must be an integer, got 5.5\n",
+    ),
+    (
+        ["reconstruct", "--state", "@qubits-str.json", "--members", "1,2,3"], 1,
+        "error: malformed state document: num_qubits must be an integer, got '5'\n",
+    ),
+    (
+        ["reconstruct", "--state", "@qubits-true.json", "--members", "1,2,3"], 1,
+        "error: malformed state document: num_qubits must be an integer, got True\n",
+    ),
+    (
+        ["reconstruct", "--state", "@bool.json", "--members", "1,2,3"], 1,
+        "error: malformed state document: amplitude parts must be numbers\n",
+    ),
+    (["reconstruct", "--state", "@huge.json", "--members", "1,2,3"], 1, "error: state is not normalized: |psi|^2 = nan\n"),
+    (["reconstruct", "--state", "@three.json", "--members", "1,2,3"], 1, "error: reconstruct needs a five-qubit state, @three.json holds 3\n"),
+    (
+        ["reconstruct", "--state", "@outside.json", "--members", "1,2,3", "--expect-secret", "0"], 1,
+        "error: @outside.json lies outside the code space: weight 0.0625\n",
+    ),
+    # An empty --out is refused, not read as "write to stdout".
+    *(
+        (argv + ["--out="], 1, "error: cannot write : ")
+        for argv in (
+            ["encode", "--secret", "0"],
+            ["report"],
+            ["distance"],
+            ["search-classical", "--n", "2", "--k", "2", "--max-rand", "2"],
+            ["reconstruct", "--state", "@s1.json", "--members", "1,2,3"],
+        )
+    ),
+    # argparse reads a value of "--" as an empty list; main refuses it.
+    *(
+        (argv, 1, f'error: {flag} cannot take the value "--"\n')
+        for flag, argv in (
+            ("--prior", ["report", "--prior=--"]),
+            ("--max-weight", ["distance", "--max-weight=--"]),
+            ("--k", ["search-classical", "--n", "3", "--k=--"]),
+            ("--alpha0", ["encode", "--alpha0=--", "--alpha1=0"]),
+            ("--out", ["encode", "--secret", "0", "--out=--"]),
+            ("--state", ["reconstruct", "--state=--", "--members", "1,2,3"]),
+            ("--members", ["reconstruct", "--state", "@s1.json", "--members=--"]),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", FAILURES, ids=[" ".join(argv) for argv, _, _ in FAILURES])
+def test_failure_is_reported(fuzz_dir, capsys, argv, code, message):
+    at = f"{fuzz_dir}{os.sep}"
+    before = sorted(fuzz_dir.rglob("*"))
+    got, _, line = checked(capsys, *(arg.replace("@", at) for arg in argv))
+    message = message.replace("@", at)
+    assert (got, line[: len(message)]) == (code, message)
+    # A failed command writes nothing, neither an --out file nor its directory.
+    assert sorted(fuzz_dir.rglob("*")) == before
 
 
 @settings(max_examples=200, deadline=None)
 @given(argv=argvs())
 def test_every_argv_exits_cleanly(fuzz_dir, argv):
     # No traceback and no SystemExit: every failure, usage errors included,
-    # returns from main and prints exactly one line, error: or verification fail.
+    # returns from main with exit 1 or 2 and one stderr line.
     argv = [arg.replace("@", f"{fuzz_dir}{os.sep}") for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    lines = err.getvalue().splitlines(keepends=True)
-    if code == 0:
-        assert lines == []
-    elif code == 1:
-        assert out.getvalue() == ""
-        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
-    else:
-        assert code == 2
-        assert len(lines) == 1 and lines[0].startswith("verification fail") and lines[0].endswith("\n")
+    check_exit(code, out.getvalue(), err.getvalue())
