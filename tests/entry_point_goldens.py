@@ -8,17 +8,22 @@ wiring. Then ``cli_contract.check_exit`` checks the exit contract through
 the shell: a usage error exits 1, a failed ``--expect`` exits 2 after
 writing its full output, and, where ``/dev/full`` exists, a failed write to
 stdout exits 1. Prints a unified diff for each golden mismatch and a line
-for each contract case; exit status 1 if any fails.
+for each contract case; exit status 1 if any fails, or, with one line,
+if no ``qsslab`` command is on ``PATH``.
 """
 
 import difflib
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 from cli_contract import check_exit
+
+if shutil.which("qsslab") is None:
+    sys.exit("error: no qsslab command on PATH; install the entry point with `pip install -e .` first")
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")

@@ -6,8 +6,10 @@ one file. For each, the runner copies what the suite reads (``src``,
 directory, requires the old text to occur exactly once in the file,
 applies the patch and runs ``python -m pytest -q -x tests`` on the copy.
 Every mutant must make the suite fail; a run past ``TIMEOUT_S`` counts as
-a failure. The working tree is only read. Exit status 0 when every mutant
-is killed, 1 otherwise.
+a failure. The suites run on a pool of ``WORKERS`` threads, each waiting on
+its own pytest process and copy, and the results print in ``MUTANTS``
+order. The working tree is only read. Exit status 0 when every mutant is
+killed, 1 otherwise.
 
 pytest collects only ``test_*.py``, so the tier-1 run does not collect
 this file. Add a mutant here whenever a change is checked by mutating it.
@@ -21,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -116,6 +119,24 @@ MUTANTS = [
         "src/qsslab/quantum_core.py",
         "        return _readonly(hermitian_eig(self.matrix)[0])\n",
         "        return hermitian_eig(self.matrix)[0]\n",
+    ),
+    (
+        "eig-dispatch-inverted",
+        "src/qsslab/quantum_core.py",
+        "    eig = _jacobi_eig if h.imag.any() else _real_jacobi_eig\n",
+        "    eig = _real_jacobi_eig if h.imag.any() else _jacobi_eig\n",
+    ),
+    (
+        "real-jacobi-rotation-sign-dropped",
+        "src/qsslab/quantum_core.py",
+        "                msp = -s * phase\n",
+        "                msp = s * phase\n",
+    ),
+    (
+        "real-jacobi-pivot-not-zeroed",
+        "src/qsslab/quantum_core.py",
+        "                a[p][q] = a[q][p] = 0.0\n",
+        "",
     ),
     (
         "search-key-without-secret-coset",
@@ -275,6 +296,8 @@ MUTANTS = [
 
 #: Seconds one suite run may take before it counts as killed (a hung search).
 TIMEOUT_S = 300
+#: Suites run at once; each is one pytest process.
+WORKERS = min(os.cpu_count() or 1, 4)
 COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
 IGNORE = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info")
 
@@ -310,17 +333,28 @@ def suite_passes(path: str, text: str) -> bool:
     return result.returncode == 0
 
 
+def timed_suite(path: str, text: str) -> tuple[bool, float]:
+    """``suite_passes`` and its wall time in seconds."""
+    start = time.perf_counter()
+    return suite_passes(path, text), time.perf_counter() - start
+
+
 def main() -> int:
     # Every patch is checked before any suite runs, so a stale one fails at once.
     texts = [patched(name, path, old, new) for name, path, old, new in MUTANTS]
+    paths = [path for _, path, _, _ in MUTANTS]
     survived = []
-    for (name, path, _, _), text in zip(MUTANTS, texts):
-        start = time.perf_counter()
-        passed = suite_passes(path, text)
-        if passed:
-            survived.append(name)
-        print(f"{'SURVIVED' if passed else 'killed':<8} {name} ({time.perf_counter() - start:.1f} s)", flush=True)
-    print(f"{len(survived)} of {len(MUTANTS)} mutant(s) survived" + (f": {', '.join(survived)}" if survived else ""))
+    start = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        # map yields in MUTANTS order, whichever suite ends first.
+        for (name, *_), (passed, seconds) in zip(MUTANTS, pool.map(timed_suite, paths, texts)):
+            if passed:
+                survived.append(name)
+            print(f"{'SURVIVED' if passed else 'killed':<8} {name} ({seconds:.1f} s)", flush=True)
+    print(
+        f"{len(survived)} of {len(MUTANTS)} mutant(s) survived" + (f": {', '.join(survived)}" if survived else "")
+        + f" ({time.perf_counter() - start:.0f} s on {WORKERS} worker(s))"
+    )
     return 1 if survived else 0
 
 

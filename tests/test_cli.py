@@ -588,3 +588,13 @@ def test_every_argv_exits_cleanly(fuzz_dir, argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     check_exit(code, out.getvalue(), err.getvalue())
+
+
+def test_entry_point_goldens_names_a_missing_console_script(tmp_path):
+    script = Path(__file__).with_name("entry_point_goldens.py")
+    env = dict(os.environ, PATH=str(tmp_path))
+    result = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True)
+    line = check_exit(result.returncode, result.stdout, result.stderr)
+    assert (result.returncode, line) == (
+        1, "error: no qsslab command on PATH; install the entry point with `pip install -e .` first\n"
+    )

@@ -6,10 +6,13 @@ dense numpy Pauli kernel ``_pauli_action`` below, which shares no code
 with the pure-Python build. That kernel is cross-checked against explicit
 32x32 matrices built with np.kron, an entirely separate route from its
 bit-twiddling. The (x | z) distance certificate is checked against the
-dense scan below, which applies every operator to both code words.
+dense scan below, which applies every operator to both code words, and
+against the quantum MacWilliams identity, which counts its violations
+from the stabilizer group's weights alone.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -459,3 +462,58 @@ class TestVerifyDistance:
                     oracle_violations += 1
         report = verify_distance(3)
         assert report.checks[-1].violations == oracle_violations
+
+
+def letter_product(p: str, q: str) -> str:
+    """The product of two Pauli strings up to phase, letter by letter: I is
+    the unit, each letter squares to I and two different letters give the third."""
+
+    def times(a: str, b: str) -> str:
+        if "I" in (a, b):
+            return a if b == "I" else b
+        return "I" if a == b else ({*"XYZ"} - {a, b}).pop()
+
+    return "".join(map(times, p, q))
+
+
+def stabilizer_weights() -> list[int]:
+    """A_w: how many of the 16 elements of S have weight w, for w = 0..5."""
+    group = ["IIIII"]
+    for g in STABILIZERS:
+        group += [letter_product(g, s) for s in group]
+    assert len(set(group)) == 16
+    counts = [0] * 6
+    for letters in group:
+        counts[5 - letters.count("I")] += 1
+    return counts
+
+
+def macwilliams_dual(a: list[int]) -> list[int]:
+    """B_w from B(x, y) = A(x + 3y, x - y) / |S|, with A(x, y) = sum A_w x^(n-w) y^w."""
+    n, size = len(a) - 1, sum(a)
+    b = [0] * (n + 1)
+    for w, count in enumerate(a):
+        for i, k in itertools.product(range(n - w + 1), range(w + 1)):
+            b[i + k] += count * math.comb(n - w, i) * 3**i * math.comb(w, k) * (-1) ** k
+    assert all(value % size == 0 for value in b)
+    return [value // size for value in b]
+
+
+class TestMacWilliamsOracle:
+    """Every element of N(S) outside S is a logical operator, which the
+    certificate flags, and no other operator is; so at each weight it must
+    report B_w - A_w violations, where A and B enumerate the weights of S
+    and of N(S). The identity gives B from A, and A comes from multiplying
+    the four generator strings, without the (x | z) ints."""
+
+    def test_enumerators_of_the_stabilizer_and_its_normalizer(self):
+        a = stabilizer_weights()
+        assert a == [1, 0, 0, 0, 15, 0]
+        assert macwilliams_dual(a) == [1, 0, 0, 30, 15, 18]
+
+    def test_distance_report_counts_the_logical_operators(self):
+        a = stabilizer_weights()
+        b = macwilliams_dual(a)
+        report = verify_distance(5)
+        assert [c.violations for c in report.checks] == [b[w] - a[w] for w in range(1, 6)] == [0, 0, 30, 0, 18]
+        assert [c.operators_checked for c in report.checks] == [math.comb(5, w) * 3**w for w in range(1, 6)]

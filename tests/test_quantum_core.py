@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from qsslab import quantum_core
 from qsslab.access_analysis import codeword_reductions
 from qsslab.code5 import encode_classical
 from qsslab.quantum_core import (
@@ -309,11 +310,28 @@ class TestEigensolver:
         assert vectors.tolist() == np.eye(2).tolist()
 
     def test_large_off_diagonal_entries_rotate_exactly_scaled(self):
-        h = np.array([[1e300, 3e299j], [-3e299j, -2e300]])
-        values, vectors = hermitian_eig(h)
-        small_values, small_vectors = hermitian_eig(h * 2.0**-600)
-        assert values.tobytes() == (small_values * 2.0**600).tobytes()
-        assert vectors.tobytes() == small_vectors.tobytes()
+        # A complex and a real matrix, one through each rotation kernel.
+        for h in (np.array([[1e300, 3e299j], [-3e299j, -2e300]]), np.array([[1e300, 3e299], [3e299, -2e300]])):
+            values, vectors = hermitian_eig(h)
+            small_values, small_vectors = hermitian_eig(h * 2.0**-600)
+            assert values.tobytes() == (small_values * 2.0**600).tobytes()
+            assert vectors.tobytes() == small_vectors.tobytes()
+
+    def test_only_complex_input_takes_the_numpy_loop(self, monkeypatch):
+        calls = []
+        for name in ("_jacobi_eig", "_real_jacobi_eig"):
+            kernel = getattr(quantum_core, name)
+            monkeypatch.setattr(
+                quantum_core, name, lambda h, name=name, kernel=kernel: calls.append(name) or kernel(h)
+            )
+        rho0, rho1 = (r.matrix for r in codeword_reductions((1, 2, 3)))
+        hermitian_eig(np.array([[1.0, 0.5], [0.5, -1.0]]))
+        hermitian_eig(0.3 * rho0 - 0.7 * rho1)
+        hermitian_eig(np.array([[1e300, 3e299], [3e299, -2e300]], dtype=complex))
+        assert calls == ["_real_jacobi_eig"] * 3
+        hermitian_eig(np.array([[1.0, 0.5j], [-0.5j, -1.0]]))
+        hermitian_eig(np.array([[1e300, 3e299j], [-3e299j, -2e300]]))
+        assert calls == ["_real_jacobi_eig"] * 3 + ["_jacobi_eig"] * 2
 
     @pytest.mark.parametrize("dim", [2, 8, 16, 32])
     def test_matches_numpy_spectrum(self, dim):
@@ -433,6 +451,13 @@ class TestJacobiOracle:
         for _ in range(3):
             a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             assert_matches_reference_jacobi(a + a.conj().T)
+        # Real symmetric input, dense and with zero pairs, takes the float loop.
+        # The zeros are +0.0: the oracle symmetrizes a -0.0 to -0.0, but
+        # hermitian_eig's complex halving gives +0.0, and tau's sign differs.
+        rng = np.random.default_rng(200 + dim)
+        for density in (1.0, 1.0, 0.3):
+            a = np.where(rng.uniform(size=(dim, dim)) < density, rng.normal(size=(dim, dim)), 0.0)
+            assert_matches_reference_jacobi(a + a.T)
 
     @pytest.mark.parametrize("members", all_nonempty_subsets())
     def test_code_word_reductions(self, members):
