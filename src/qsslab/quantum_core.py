@@ -3,12 +3,12 @@
 Everything works on explicit complex vectors and matrices of dimension at
 most 32, so the routines favor accuracy and transparency over speed.
 
-The one eigensolver, ``hermitian_eig``, runs cyclic Jacobi rotations with
-two kernels chosen by the input's imaginary part. A real matrix (every
-matrix the access-structure report builds) rotates on Python floats; any
-other runs the numpy loop on complex arrays. Both return the same bits
-for a real matrix. The numpy loop stays for complex input because Python
-cannot round a complex product the way numpy does.
+The one eigensolver, ``hermitian_eig``, computes eigenvalues only, by cyclic
+Jacobi rotations with two kernels chosen by the input's imaginary part. A
+real matrix (every matrix the access-structure report builds) rotates on
+Python floats; any other runs the numpy loop on complex arrays. Both return
+the same bits for a real matrix. The numpy loop stays for complex input
+because Python cannot round a complex product the way numpy does.
 
 Conventions:
   * Qubits are numbered 1..n, counting from the left of the ket
@@ -167,20 +167,15 @@ def reduced_state(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(block @ block.conj().T)
 
 
-def _jacobi_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a Hermitian matrix.
+def _jacobi_eig(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix by cyclic Jacobi, in descending order.
 
     Sweeps two-sided unitary rotations until the off-diagonal mass is at
     rounding level. Dimensions here never exceed 32, so quadratic
     convergence makes this both fast enough and accurate to ~1e-15.
-
-    a sits on top of the eigenvectors v in one (2n x n) array, so one set
-    of ufunc calls rotates columns p and q of both, with the same scalar
-    operations per entry as separate updates: the bits do not change.
     """
     n = matrix.shape[0]
-    av = np.vstack([matrix.astype(complex), np.eye(n, dtype=complex)])
-    a, v = av[:n], av[n:]
+    a = matrix.astype(complex)
     scale = max(float(np.linalg.norm(a)), 1.0)
     for _ in range(60):
         # Off-diagonal Frobenius mass, summed entry by entry: subtracting
@@ -202,21 +197,20 @@ def _jacobi_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
-                # Two-sided rotation mixing rows/columns p and q; v rides in av.
+                # Two-sided rotation mixing rows/columns p and q.
                 row_p, row_q = a[p], a[q]
                 a[p], a[q] = c * row_p + s * phase * row_q, -s * conj_phase * row_p + c * row_q
-                col_p, col_q = av[:, p], av[:, q]
-                av[:, p], av[:, q] = c * col_p + s * conj_phase * col_q, -s * phase * col_p + c * col_q
+                col_p, col_q = a[:, p], a[:, q]
+                a[:, p], a[:, q] = c * col_p + s * conj_phase * col_q, -s * phase * col_p + c * col_q
                 a[p, q] = a[q, p] = 0.0
     else:
         raise RuntimeError("Jacobi iteration failed to converge")
 
     values = np.real(np.diagonal(a)).copy()
-    order = np.argsort(values)[::-1]
-    return values[order], v[:, order]
+    return values[np.argsort(values)[::-1]]
 
 
-def _real_jacobi_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _real_jacobi_eig(matrix: np.ndarray) -> np.ndarray:
     """``_jacobi_eig`` of a matrix whose imaginary parts are all zero, on floats.
 
     With every imaginary part +0, each complex operation of the numpy loop
@@ -225,10 +219,13 @@ def _real_jacobi_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and -s*phase*x + c*y. This loop does those on lists of floats, with
     the same rotations, tests and order per entry, and takes its norms
     from the complex array of the same rows, so the bits do not change.
+
+    Columns p and q are copied from the new rows, not recomputed: the input
+    is exactly symmetric, signs of zero included, and each rotation keeps
+    it so. Only the diagonal takes both steps, so it is redone.
     """
     n = matrix.shape[0]
     a = matrix.real.tolist()
-    v = np.eye(n).tolist()
     scale = max(float(np.linalg.norm(np.array(a, dtype=complex))), 1.0)
     for _ in range(60):
         hollow = np.array(a, dtype=complex)
@@ -249,33 +246,33 @@ def _real_jacobi_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 sp = s * phase
                 msp = -s * phase
                 row_p, row_q = a[p], a[q]
-                a[p] = [c * x + sp * y for x, y in zip(row_p, row_q)]
-                a[q] = [msp * x + c * y for x, y in zip(row_p, row_q)]
-                for row in itertools.chain(a, v):
-                    x, y = row[p], row[q]
-                    row[p] = c * x + sp * y
-                    row[q] = msp * x + c * y
-                a[p][q] = a[q][p] = 0.0
+                new_p = [c * x + sp * y for x, y in zip(row_p, row_q)]
+                new_q = [msp * x + c * y for x, y in zip(row_p, row_q)]
+                for row, x, y in zip(a, new_p, new_q):
+                    row[p], row[q] = x, y
+                new_p[p] = c * new_p[p] + sp * new_p[q]
+                new_q[q] = msp * new_q[p] + c * new_q[q]
+                new_p[q] = new_q[p] = 0.0
+                a[p], a[q] = new_p, new_q
     else:
         raise RuntimeError("Jacobi iteration failed to converge")
 
     values = np.array([row[i] for i, row in enumerate(a)])
-    order = np.argsort(values)[::-1]
-    return values[order], np.array(v, dtype=complex)[:, order]
+    return values[np.argsort(values)[::-1]]
 
 
-def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix; the only eigensolver entry.
+def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray]:
+    """Eigenvalues of a Hermitian matrix; the only eigensolver entry.
 
-    Returns (values, vectors) with real eigenvalues in descending order
-    and orthonormal eigenvectors as matching columns. Raises ValueError
-    on a non-finite entry or a deviation from Hermitian above HERMITIAN_ATOL.
+    Returns ``(values,)``, the real eigenvalues in descending order and no
+    eigenvectors, which no caller reads; a caller unpacking ``values,
+    vectors`` fails loudly. Raises ValueError on a non-finite entry or a
+    deviation from Hermitian above HERMITIAN_ATOL.
 
     After symmetrizing, a matrix with no nonzero imaginary part goes to
-    ``_real_jacobi_eig`` and any other to ``_jacobi_eig``. Both give the
-    same bits on real input, the float loop about twice as fast at 16 x 16.
-    Complex input keeps the numpy loop: a complex product rounds there in
-    a way Python's float arithmetic cannot reproduce.
+    ``_real_jacobi_eig`` and any other to ``_jacobi_eig``; both give the same
+    bits on real input. Complex input keeps the numpy loop: a complex product
+    rounds there in a way Python's float arithmetic cannot reproduce.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -290,12 +287,11 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eig = _jacobi_eig if h.imag.any() else _real_jacobi_eig
     top = float(np.abs(h.view(float)).max())
     if top < 2.0**500:
-        return eig(h)
+        return (eig(h),)
     # The Frobenius norm of larger entries overflows. Scaling by a power of
     # two is exact, so rotate 2^-shift h and scale the eigenvalues back.
     shift = math.frexp(top)[1] - 500
-    values, vectors = eig(h * 2.0**-shift)
-    return values * 2.0**shift, vectors
+    return (eig(h * 2.0**-shift) * 2.0**shift,)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

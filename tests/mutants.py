@@ -135,8 +135,20 @@ MUTANTS = [
     (
         "real-jacobi-pivot-not-zeroed",
         "src/qsslab/quantum_core.py",
-        "                a[p][q] = a[q][p] = 0.0\n",
+        "                new_p[q] = new_q[p] = 0.0\n",
         "",
+    ),
+    (
+        "real-jacobi-diagonal-fixup-dropped",
+        "src/qsslab/quantum_core.py",
+        "                new_p[p] = c * new_p[p] + sp * new_p[q]\n                new_q[q] = msp * new_q[p] + c * new_q[q]\n",
+        "",
+    ),
+    (
+        "real-jacobi-mirrors-column-p-only",
+        "src/qsslab/quantum_core.py",
+        "                    row[p], row[q] = x, y\n",
+        "                    row[p] = x\n",
     ),
     (
         "search-key-without-secret-coset",
@@ -292,7 +304,10 @@ MUTANTS = [
 #   operator _apply receives (the generators and XXXXX have no Y).
 # - quantum_core._jacobi_eig returning early for n == 1: a 1 x 1 matrix has
 #   no off-diagonal mass, so the general path stops before any rotation and
-#   returns the same diagonal and identity vector.
+#   returns the same diagonal.
+# - quantum_core._real_jacobi_eig mirroring into every row but p and q: the
+#   loop writes those two into the old row lists, which new_p and new_q
+#   replace, so skipping them changes no entry.
 
 #: Seconds one suite run may take before it counts as killed (a hung search).
 TIMEOUT_S = 300

@@ -26,7 +26,6 @@ from qsslab.quantum_core import (
     DensityMatrix,
     PureState,
     all_nonempty_subsets,
-    hermitian_eig,
     reduced_state,
     share_block,
 )
@@ -50,7 +49,7 @@ def random_secret(rng: np.random.Generator) -> QubitSecret:
 
 def eigenbasis_projector(rho: DensityMatrix) -> np.ndarray:
     """Projector onto the eigenvectors of rho with eigenvalue above PSD_ATOL."""
-    values, vectors = hermitian_eig(rho.matrix)
+    values, vectors = np.linalg.eigh(rho.matrix)
     v = vectors[:, values > PSD_ATOL]
     return v @ v.conj().T
 

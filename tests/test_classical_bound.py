@@ -370,6 +370,24 @@ class TestSearch:
         assert check_exit(code, captured.out, captured.err).startswith("verification failure: ")
 
 
+class TestMatroidVerdict:
+    """The search verdict on every input it accepts, from matroid theory.
+
+    An ideal GF(2)-linear (k, n) threshold scheme is a binary representation
+    of the uniform matroid U_{k,n+1} (Brickell & Davenport, J. Cryptology
+    1991), which is binary only for k = 1 or k = n, since U_{2,4} is the
+    excluded minor (Tutte 1958). A (k, k) scheme needs k - 1 random bits.
+    """
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 6) for k in range(1, n + 1)])
+    def test_found_iff_uniform_matroid_is_binary(self, n, k):
+        for m_max, prune in itertools.product(range(6), (True, False)):
+            report = search_linear_schemes(n, k, m_max, prune=prune)
+            assert report.found == (k == 1 or (k == n and m_max >= n - 1)), (m_max, prune)
+            if report.found:
+                assert report.witness.m == k - 1, (m_max, prune)
+
+
 def orbit_key(vectors, secret_vec: int) -> tuple[int, ...]:
     """The search's memo key of a share tuple, built share by share as its DFS does."""
     index, key = {0: 1}, ()
