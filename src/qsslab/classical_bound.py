@@ -15,6 +15,8 @@ import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .tolerances import checked_int
+
 
 def share_size_bound(n: int, k: int) -> int:
     """The n - k + 2 lower bound on the mean share-alphabet size.
@@ -25,6 +27,7 @@ def share_size_bound(n: int, k: int) -> int:
     has an exact dual certificate, checked in
     ``tests/test_classical_bound.py::TestDualCertificate``.
     """
+    n, k = checked_int(n, "n"), checked_int(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return n - k + 2
@@ -222,6 +225,7 @@ def search_linear_schemes(
     as a subset smaller than k qualifies or a completed k-subset fails to
     qualify; both cuts only discard provably witness-free branches.
     """
+    n, k, m_max = checked_int(n, "n"), checked_int(k, "k"), checked_int(m_max, "m_max")
     if not 1 <= n <= 5:
         raise ValueError(f"n must be in 1..5, got {n}")
     if not 1 <= k <= n:

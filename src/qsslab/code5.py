@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .tolerances import NORM_ATOL, VERDICT_ATOL
+from .tolerances import NORM_ATOL, VERDICT_ATOL, checked_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -152,6 +152,7 @@ def verify_distance(max_weight: int) -> DistanceReport:
     violation in that order come from the elements of N(S) of weight w,
     each with the values of its class.
     """
+    max_weight = checked_int(max_weight, "max_weight")
     if not 1 <= max_weight <= 5:
         raise ValueError(f"max_weight must be in 1..5, got {max_weight}")
     table = normalizer()

@@ -3,12 +3,10 @@
 Everything works on explicit complex vectors and matrices of dimension at
 most 32, so the routines favor accuracy and transparency over speed.
 
-The one eigensolver, ``hermitian_eig``, computes eigenvalues only, by cyclic
-Jacobi rotations with two kernels chosen by the input's imaginary part. A
-real matrix (every matrix the access-structure report builds) rotates on
-Python floats; any other runs the numpy loop on complex arrays. Both return
-the same bits for a real matrix. The numpy loop stays for complex input
-because Python cannot round a complex product the way numpy does.
+The one eigensolver, ``hermitian_eig``, computes eigenvalues only. A real
+matrix (every matrix the access-structure report builds) goes to cyclic
+Jacobi rotations on Python floats, kept because the report goldens pin
+their last bits; a matrix with a nonzero imaginary part goes to LAPACK.
 
 Conventions:
   * Qubits are numbered 1..n, counting from the left of the ket
@@ -36,6 +34,7 @@ from .tolerances import (
     NORM_ATOL,
     PSD_ATOL,
     STATE_NORM_ATOL,
+    checked_int,
 )
 
 
@@ -126,10 +125,10 @@ class DensityMatrix:
 def share_subset(members: Iterable[int], num_qubits: int = 5) -> tuple[int, ...]:
     """Validate and canonicalize a subset of participant indices.
 
-    Returns the members as a sorted tuple. Empty sets, duplicates and
-    out-of-range indices are rejected.
+    Returns the members as a sorted tuple of ints. Empty sets, duplicates,
+    non-integers and out-of-range indices are rejected.
     """
-    subset = tuple(sorted(members))
+    subset = tuple(sorted(checked_int(m, "member") for m in members))
     if not subset:
         raise ValueError("share subset must be nonempty")
     if len(set(subset)) != len(subset):
@@ -141,6 +140,7 @@ def share_subset(members: Iterable[int], num_qubits: int = 5) -> tuple[int, ...]
 
 def all_nonempty_subsets(num_qubits: int = 5) -> list[tuple[int, ...]]:
     """All nonempty subsets of {1..num_qubits}, ordered by (size, members)."""
+    num_qubits = checked_int(num_qubits, "num_qubits")
     participants = range(1, num_qubits + 1)
     return [
         combo
@@ -167,58 +167,18 @@ def reduced_state(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(block @ block.conj().T)
 
 
-def _jacobi_eig(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi, in descending order.
-
-    Sweeps two-sided unitary rotations until the off-diagonal mass is at
-    rounding level. Dimensions here never exceed 32, so quadratic
-    convergence makes this both fast enough and accurate to ~1e-15.
-    """
-    n = matrix.shape[0]
-    a = matrix.astype(complex)
-    scale = max(float(np.linalg.norm(a)), 1.0)
-    for _ in range(60):
-        # Off-diagonal Frobenius mass, summed entry by entry: subtracting
-        # the diagonal from the total norm would cancel catastrophically.
-        hollow = a.copy()
-        np.fill_diagonal(hollow, 0.0)
-        off = float(np.linalg.norm(hollow))
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a[p, q]
-                ab = abs(b)
-                if ab <= 1e-18 * scale:
-                    continue
-                phase = b / ab
-                conj_phase = np.conj(phase)
-                tau = (a[p, p].real - a[q, q].real) / (2.0 * ab)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # Two-sided rotation mixing rows/columns p and q.
-                row_p, row_q = a[p], a[q]
-                a[p], a[q] = c * row_p + s * phase * row_q, -s * conj_phase * row_p + c * row_q
-                col_p, col_q = a[:, p], a[:, q]
-                a[:, p], a[:, q] = c * col_p + s * conj_phase * col_q, -s * phase * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge")
-
-    values = np.real(np.diagonal(a)).copy()
-    return values[np.argsort(values)[::-1]]
-
-
 def _real_jacobi_eig(matrix: np.ndarray) -> np.ndarray:
-    """``_jacobi_eig`` of a matrix whose imaginary parts are all zero, on floats.
+    """Eigenvalues of a real symmetric matrix by cyclic Jacobi, descending.
 
-    With every imaginary part +0, each complex operation of the numpy loop
-    has one real float operation as its real part: abs(b) is |b|, b / |b|
-    is b * (1 / |b|) and the row and column updates are c*x + s*phase*y
-    and -s*phase*x + c*y. This loop does those on lists of floats, with
-    the same rotations, tests and order per entry, and takes its norms
-    from the complex array of the same rows, so the bits do not change.
+    Takes hermitian_eig's symmetrized complex array, whose imaginary parts
+    are all zero, and rotates its real parts on lists of floats until the
+    off-diagonal mass is at rounding level. Its spec is bits: those of the
+    report goldens and of ``tests/test_quantum_core.py::reference_jacobi``,
+    a loop on complex arrays. Each float operation here is the real part of
+    one complex operation there (b / |b| is b * (1 / |b|), the row updates
+    are c*x + s*phase*y and -s*phase*x + c*y), in the same order per entry.
+    The norms are taken from the complex array of the same rows, because
+    numpy's complex norm is what gives the golden bits.
 
     Columns p and q are copied from the new rows, not recomputed: the input
     is exactly symmetric, signs of zero included, and each rotation keeps
@@ -269,10 +229,10 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray]:
     vectors`` fails loudly. Raises ValueError on a non-finite entry or a
     deviation from Hermitian above HERMITIAN_ATOL.
 
-    After symmetrizing, a matrix with no nonzero imaginary part goes to
-    ``_real_jacobi_eig`` and any other to ``_jacobi_eig``; both give the same
-    bits on real input. Complex input keeps the numpy loop: a complex product
-    rounds there in a way Python's float arithmetic cannot reproduce.
+    After symmetrizing, a matrix with a nonzero imaginary part goes to
+    LAPACK's ``eigvalsh``; any other goes to ``_real_jacobi_eig``, whose
+    last bits the report goldens pin. Every matrix the reports build is
+    real, so LAPACK only serves callers with complex input.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -284,14 +244,16 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray]:
     # Symmetrize away rounding noise so the rotations see an exact input.
     # Halving before adding is exact for normal floats and cannot overflow.
     h = m / 2.0 + m.conj().T / 2.0
-    eig = _jacobi_eig if h.imag.any() else _real_jacobi_eig
-    top = float(np.abs(h.view(float)).max())
+    if h.imag.any():
+        return (np.linalg.eigvalsh(h)[::-1].copy(),)
+    top = float(np.abs(h.real).max())
     if top < 2.0**500:
-        return (eig(h),)
-    # The Frobenius norm of larger entries overflows. Scaling by a power of
-    # two is exact, so rotate 2^-shift h and scale the eigenvalues back.
+        return (_real_jacobi_eig(h),)
+    # The Frobenius norm of larger entries overflows; LAPACK scales on its
+    # own, the rotations do not. Scaling by a power of two is exact, so
+    # rotate 2^-shift h and scale the eigenvalues back.
     shift = math.frexp(top)[1] - 500
-    return (eig(h * 2.0**-shift) * 2.0**shift,)
+    return (_real_jacobi_eig(h * 2.0**-shift) * 2.0**shift,)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

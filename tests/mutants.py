@@ -103,6 +103,18 @@ MUTANTS = [
         'return [c != "I" for c in letters], letters',
     ),
     (
+        "share-subset-integer-check-dropped",
+        "src/qsslab/quantum_core.py",
+        'sorted(checked_int(m, "member") for m in members)',
+        "sorted(members)",
+    ),
+    (
+        "checked-int-accepts-bool",
+        "src/qsslab/tolerances.py",
+        "    if not isinstance(value, bool):\n",
+        "    if True:\n",
+    ),
+    (
         "density-psd-bound-loosened",
         "src/qsslab/quantum_core.py",
         "        if not lowest >= -PSD_ATOL:\n",
@@ -123,8 +135,8 @@ MUTANTS = [
     (
         "eig-dispatch-inverted",
         "src/qsslab/quantum_core.py",
-        "    eig = _jacobi_eig if h.imag.any() else _real_jacobi_eig\n",
-        "    eig = _real_jacobi_eig if h.imag.any() else _jacobi_eig\n",
+        "    if h.imag.any():\n",
+        "    if not h.imag.any():\n",
     ),
     (
         "real-jacobi-rotation-sign-dropped",
@@ -173,6 +185,12 @@ MUTANTS = [
         "src/qsslab/classical_bound.py",
         "                    memo[child_key] = counts\n",
         "                    memo[child_key] = counts[:3] + (0,)\n",
+    ),
+    (
+        "search-memo-never-read",
+        "src/qsslab/classical_bound.py",
+        "                if witness is None:\n                    memo[child_key] = counts\n",
+        "                if witness is not None:\n                    memo[child_key] = counts\n",
     ),
     (
         "search-witness-counts-every-candidate",
@@ -302,9 +320,6 @@ MUTANTS = [
 # - code5._apply reading the sign parity from the target index, `c & z` for
 #   `(c ^ x) & z`: the two differ by popcount(x & z), which is 0 for every
 #   operator _apply receives (the generators and XXXXX have no Y).
-# - quantum_core._jacobi_eig returning early for n == 1: a 1 x 1 matrix has
-#   no off-diagonal mass, so the general path stops before any rotation and
-#   returns the same diagonal.
 # - quantum_core._real_jacobi_eig mirroring into every row but p and q: the
 #   loop writes those two into the old row lists, which new_p and new_q
 #   replace, so skipping them changes no entry.

@@ -261,6 +261,16 @@ class TestSubsetStatus:
 
 
 class TestSearch:
+    def test_orbit_memo_is_read(self, monkeypatch):
+        # The index grows once per memo miss above the leaves. With the memo
+        # never read, this unpruned search grows it 5,050 times, and the
+        # unpruned n = 5 searches of TestMatroidVerdict take minutes.
+        calls = []
+        extend = classical_bound._extend_index
+        monkeypatch.setattr(classical_bound, "_extend_index", lambda *args: calls.append(args) or extend(*args))
+        assert not search_linear_schemes(4, 3, 3, prune=False).found
+        assert len(calls) == 192
+
     def test_positive_control_finds_xor_witness(self):
         report = search_linear_schemes(2, 2, 2)
         assert report.found

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qsslab
@@ -129,6 +130,37 @@ def test_dir_lists_every_public_name():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="qsslab"):
         qsslab.no_such_name
+
+
+@pytest.mark.parametrize(
+    "name, good, bad",
+    [
+        ("share_subset", ((1, 2, 3),), ((1, 2, 3.0),)),
+        ("share_subset", ((1, 2, 3),), ((1, 2, "3"),)),
+        ("classify_subset", ((1, 2, 3),), ((1, 2, 3.0),)),
+        ("verify_distance", (3,), (3.0,)),
+        ("verify_distance", (1,), (True,)),
+        ("search_linear_schemes", (3, 2, 2), (3.0, 2, 2)),
+        ("search_linear_schemes", (3, 2, 2), (3, 2, "2")),
+        ("all_nonempty_subsets", (5,), (5.0,)),
+        ("share_size_bound", (5, 3), (5.0, 3)),
+        ("share_size_bound", (5, 1), (5, True)),
+    ],
+)
+def test_integer_arguments_refuse_bool_float_and_str(name, good, bad):
+    # The integer call runs first, so a cache keyed on equal values (3.0 == 3,
+    # True == 1) would answer the bad call if it reached one.
+    getattr(qsslab, name)(*good)
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        getattr(qsslab, name)(*bad)
+
+
+def test_numpy_integer_arguments_become_plain_ints():
+    subset = qsslab.share_subset((np.int64(3), np.uint8(1)))
+    assert subset == (1, 3) and {type(m) for m in subset} == {int}
+    assert type(qsslab.share_size_bound(np.int64(5), np.int8(3))) is int
+    assert type(qsslab.verify_distance(np.int16(2)).max_weight) is int
+    assert qsslab.all_nonempty_subsets(np.int64(2)) == [(1,), (2,), (1, 2)]
 
 
 def test_one_distance_certificate_behind_every_name():
