@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from .classical_bound import search_linear_schemes, share_size_bound
 from .code5 import verify_distance
-from .tolerances import VERDICT_ATOL
+from .tolerances import VERDICT_ATOL, checked_int
 
 if TYPE_CHECKING:
     from .quantum_core import PureState
@@ -57,10 +57,8 @@ def state_from_document(doc: dict) -> PureState:
     # Integer fields must be JSON integers: not true, 1.0, 5.5 or "5".
     if type(doc.get("format")) is not int or doc["format"] != STATE_FORMAT_VERSION:
         raise ValueError(f"unsupported state format: {doc.get('format')!r}")
-    num_qubits = doc.get("num_qubits")
-    if type(num_qubits) is not int:
-        raise ValueError(f"malformed state document: num_qubits must be an integer, got {num_qubits!r}")
     try:
+        num_qubits = checked_int(doc.get("num_qubits"), "num_qubits")
         pairs = [(re, im) for re, im in doc["amplitudes"]]
         # Amplitude parts must be JSON numbers: not true, null or "0.5".
         if not all(type(part) in (int, float) for pair in pairs for part in pair):

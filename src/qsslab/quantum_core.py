@@ -57,6 +57,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "num_qubits", checked_int(self.num_qubits, "num_qubits"))
         if not 1 <= self.num_qubits <= 5:
             raise ValueError(f"num_qubits must be in 1..5, got {self.num_qubits}")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
@@ -128,6 +129,7 @@ def share_subset(members: Iterable[int], num_qubits: int = 5) -> tuple[int, ...]
     Returns the members as a sorted tuple of ints. Empty sets, duplicates,
     non-integers and out-of-range indices are rejected.
     """
+    num_qubits = checked_int(num_qubits, "num_qubits")
     subset = tuple(sorted(checked_int(m, "member") for m in members))
     if not subset:
         raise ValueError("share subset must be nonempty")

@@ -109,6 +109,12 @@ MUTANTS = [
         "sorted(members)",
     ),
     (
+        "pure-state-integer-check-dropped",
+        "src/qsslab/quantum_core.py",
+        '        object.__setattr__(self, "num_qubits", checked_int(self.num_qubits, "num_qubits"))\n',
+        "",
+    ),
+    (
         "checked-int-accepts-bool",
         "src/qsslab/tolerances.py",
         "    if not isinstance(value, bool):\n",
@@ -290,10 +296,10 @@ MUTANTS = [
         'if not isinstance(doc.get("format"), int)',
     ),
     (
-        "cli-num-qubits-accepts-bool",
+        "cli-num-qubits-unchecked",
         "src/qsslab/cli.py",
-        "    if type(num_qubits) is not int:\n",
-        "    if not isinstance(num_qubits, int):\n",
+        'num_qubits = checked_int(doc.get("num_qubits"), "num_qubits")',
+        'num_qubits = doc.get("num_qubits")',
     ),
     (
         "cli-stdout-unflushed",

@@ -240,8 +240,10 @@ def test_criterion_8_property_suites():
     solver_ok = True
     worst_deviation = 0.0
     for _ in range(100):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = (a + a.conj().T) / 2
+        # Real input goes to the Jacobi kernel; complex input would go to
+        # eigvalsh itself and so compare it with itself.
+        a = rng.normal(size=(4, 4))
+        h = (a + a.T) / 2
         values = hermitian_eig(h)[0]
         deviation = float(np.max(np.abs(values - np.linalg.eigvalsh(h)[::-1])))
         worst_deviation = max(worst_deviation, deviation)

@@ -137,6 +137,9 @@ def test_unknown_attribute_raises_attribute_error():
     [
         ("share_subset", ((1, 2, 3),), ((1, 2, 3.0),)),
         ("share_subset", ((1, 2, 3),), ((1, 2, "3"),)),
+        ("share_subset", ((1, 2, 3), 5), ((1, 2, 3), 5.0)),
+        ("PureState", (1, [1, 0]), (True, [1, 0])),
+        ("PureState", (2, [1, 0, 0, 0]), (2.0, [1, 0, 0, 0])),
         ("classify_subset", ((1, 2, 3),), ((1, 2, 3.0),)),
         ("verify_distance", (3,), (3.0,)),
         ("verify_distance", (1,), (True,)),
@@ -161,6 +164,7 @@ def test_numpy_integer_arguments_become_plain_ints():
     assert type(qsslab.share_size_bound(np.int64(5), np.int8(3))) is int
     assert type(qsslab.verify_distance(np.int16(2)).max_weight) is int
     assert qsslab.all_nonempty_subsets(np.int64(2)) == [(1,), (2,), (1, 2)]
+    assert type(qsslab.PureState(np.int64(1), [1, 0]).num_qubits) is int
 
 
 def test_one_distance_certificate_behind_every_name():
