@@ -181,7 +181,7 @@ def _apply(p: int, word: list[complex]) -> list[complex]:
     return [word[c ^ x] * (1 - 2 * (((c ^ x) & z).bit_count() & 1)) for c in range(32)]
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=2, typed=True)
 def encode_classical(s: int) -> PureState:
     """Five-qubit code word carrying the classical bit ``s``.
 
@@ -189,11 +189,12 @@ def encode_classical(s: int) -> PureState:
     then normalized; w1 = XXXXX w0. |00000> is a +1 eigenvector of the
     logical Z = ZZZZZ, which commutes with every g, so w0 needs no
     projection by it. Every step is exact in binary, so the amplitudes are
-    exactly +-1/4 or 0.
+    exactly +-1/4 or 0. The cache is typed, so True or 1.0 never reads the
+    entry of an equal integer and is refused as a non-integer.
     """
     from .quantum_core import PureState
 
-    if s not in (0, 1):
+    if checked_int(s, "secret bit") not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {s!r}")
     word = [complex(b == 0) for b in range(32)]
     for g in STABILIZERS:

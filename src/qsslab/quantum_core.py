@@ -6,7 +6,7 @@ most 32, so the routines favor accuracy and transparency over speed.
 The one eigensolver, ``hermitian_eig``, computes eigenvalues only. A real
 matrix (every matrix the access-structure report builds) goes to cyclic
 Jacobi rotations on Python floats, kept because the report goldens pin
-their last bits; a matrix with a nonzero imaginary part goes to LAPACK.
+their last bits; complex input or an entry of 2^500 or more goes to LAPACK.
 
 Conventions:
   * Qubits are numbered 1..n, counting from the left of the ket
@@ -228,17 +228,19 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray]:
 
     Returns ``(values,)``, the real eigenvalues in descending order and no
     eigenvectors, which no caller reads; a caller unpacking ``values,
-    vectors`` fails loudly. Raises ValueError on a non-finite entry or a
-    deviation from Hermitian above HERMITIAN_ATOL.
+    vectors`` fails loudly. Raises ValueError on an empty, non-square or
+    non-finite matrix and on a deviation from Hermitian above HERMITIAN_ATOL.
 
-    After symmetrizing, a matrix with a nonzero imaginary part goes to
-    LAPACK's ``eigvalsh``; any other goes to ``_real_jacobi_eig``, whose
-    last bits the report goldens pin. Every matrix the reports build is
-    real, so LAPACK only serves callers with complex input.
+    After symmetrizing, a matrix with a nonzero imaginary part or an entry
+    of 2^500 or more (whose norm the rotations overflow) goes to LAPACK's
+    ``eigvalsh``; any other goes to ``_real_jacobi_eig``, whose last bits
+    the report goldens pin. Every matrix the reports build is real and small.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
+    if not m.size:
+        raise ValueError("matrix must not be empty")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if not _hermitian_within(m, HERMITIAN_ATOL):
@@ -246,16 +248,9 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray]:
     # Symmetrize away rounding noise so the rotations see an exact input.
     # Halving before adding is exact for normal floats and cannot overflow.
     h = m / 2.0 + m.conj().T / 2.0
-    if h.imag.any():
+    if h.imag.any() or np.abs(h.real).max() >= 2.0**500:
         return (np.linalg.eigvalsh(h)[::-1].copy(),)
-    top = float(np.abs(h.real).max())
-    if top < 2.0**500:
-        return (_real_jacobi_eig(h),)
-    # The Frobenius norm of larger entries overflows; LAPACK scales on its
-    # own, the rotations do not. Scaling by a power of two is exact, so
-    # rotate 2^-shift h and scale the eigenvalues back.
-    shift = math.frexp(top)[1] - 500
-    return (_real_jacobi_eig(h * 2.0**-shift) * 2.0**shift,)
+    return (_real_jacobi_eig(h),)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

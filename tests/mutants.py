@@ -115,6 +115,18 @@ MUTANTS = [
         "",
     ),
     (
+        "encode-classical-integer-check-dropped",
+        "src/qsslab/code5.py",
+        'if checked_int(s, "secret bit") not in (0, 1):',
+        "if s not in (0, 1):",
+    ),
+    (
+        "encode-classical-cache-untyped",
+        "src/qsslab/code5.py",
+        "@functools.lru_cache(maxsize=2, typed=True)\n",
+        "@functools.lru_cache(maxsize=2)\n",
+    ),
+    (
         "checked-int-accepts-bool",
         "src/qsslab/tolerances.py",
         "    if not isinstance(value, bool):\n",
@@ -141,8 +153,29 @@ MUTANTS = [
     (
         "eig-dispatch-inverted",
         "src/qsslab/quantum_core.py",
+        "    if h.imag.any() or np.abs(h.real).max() >= 2.0**500:\n",
+        "    if not (h.imag.any() or np.abs(h.real).max() >= 2.0**500):\n",
+    ),
+    (
+        "eig-range-check-dropped",
+        "src/qsslab/quantum_core.py",
+        "    if h.imag.any() or np.abs(h.real).max() >= 2.0**500:\n",
         "    if h.imag.any():\n",
-        "    if not h.imag.any():\n",
+    ),
+    (
+        # Equivalent in values: at 32 x 32 the kernel's norms of entries of
+        # exactly 2^500 reach 2^505 and their squares 2^1010, below the float
+        # limit 2^1024. The suite's spy on the kernel still tells them apart.
+        "eig-range-boundary-exclusive",
+        "src/qsslab/quantum_core.py",
+        "np.abs(h.real).max() >= 2.0**500:\n",
+        "np.abs(h.real).max() > 2.0**500:\n",
+    ),
+    (
+        "eig-empty-check-dropped",
+        "src/qsslab/quantum_core.py",
+        "    if not m.size:\n",
+        "    if False:\n",
     ),
     (
         "real-jacobi-rotation-sign-dropped",

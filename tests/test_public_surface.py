@@ -148,11 +148,16 @@ def test_unknown_attribute_raises_attribute_error():
         ("all_nonempty_subsets", (5,), (5.0,)),
         ("share_size_bound", (5, 3), (5.0, 3)),
         ("share_size_bound", (5, 1), (5, True)),
+        ("encode_classical", (1,), (1.0,)),
+        ("encode_classical", (0,), (True,)),
+        ("encode_classical", (np.int64(1),), (1.0,)),
     ],
 )
 def test_integer_arguments_refuse_bool_float_and_str(name, good, bad):
     # The integer call runs first, so a cache keyed on equal values (3.0 == 3,
-    # True == 1) would answer the bad call if it reached one.
+    # True == 1) would answer the bad call if it reached one. functools keys a
+    # lone int by the int itself, which no float or bool key equals, but a
+    # numpy integer as the tuple (n,), which (1.0,) and (True,) equal.
     getattr(qsslab, name)(*good)
     with pytest.raises(ValueError, match="must be an integer, got"):
         getattr(qsslab, name)(*bad)
@@ -165,6 +170,7 @@ def test_numpy_integer_arguments_become_plain_ints():
     assert type(qsslab.verify_distance(np.int16(2)).max_weight) is int
     assert qsslab.all_nonempty_subsets(np.int64(2)) == [(1,), (2,), (1, 2)]
     assert type(qsslab.PureState(np.int64(1), [1, 0]).num_qubits) is int
+    assert qsslab.encode_classical(np.int64(1)).amplitudes.tobytes() == qsslab.encode_classical(1).amplitudes.tobytes()
 
 
 def test_one_distance_certificate_behind_every_name():

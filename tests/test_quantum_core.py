@@ -303,29 +303,57 @@ class TestEigensolver:
         (values,) = hermitian_eig(np.diag([1e308, -1e308]))
         assert values.tolist() == [1e308, -1e308]
 
-    def test_large_off_diagonal_entries_rotate_exactly_scaled(self):
+    def test_large_off_diagonal_entries_go_to_lapack(self):
         # The suite turns RuntimeWarning into an error, so an overflow fails here.
-        # The float kernel rotates 2^-shift h, so its bytes scale exactly.
         h = np.array([[1e300, 3e299], [3e299, -2e300]])
-        assert hermitian_eig(h)[0].tobytes() == (hermitian_eig(h * 2.0**-600)[0] * 2.0**600).tobytes()
-        # LAPACK scales complex input by factors that are not powers of two,
-        # so its bytes at 2^-600 may differ in the last bit.
-        h = np.array([[1e300, 3e299j], [-3e299j, -2e300]])
-        small_values = np.linalg.eigvalsh(h * 2.0**-600)[::-1] * 2.0**600
-        np.testing.assert_allclose(hermitian_eig(h)[0], small_values, rtol=1e-15, atol=0.0)
+        assert hermitian_eig(h)[0].tobytes() == np.linalg.eigvalsh(h)[::-1].tobytes()
 
-    def test_only_complex_input_leaves_the_float_kernel(self, monkeypatch):
+    @staticmethod
+    def kernel_calls(monkeypatch) -> list:
         calls = []
         kernel = quantum_core._real_jacobi_eig
         monkeypatch.setattr(quantum_core, "_real_jacobi_eig", lambda h: calls.append(h) or kernel(h))
+        return calls
+
+    def test_only_complex_or_out_of_range_input_leaves_the_float_kernel(self, monkeypatch):
+        calls = self.kernel_calls(monkeypatch)
         rho0, rho1 = (r.matrix for r in codeword_reductions((1, 2, 3)))
         hermitian_eig(np.array([[1.0, 0.5], [0.5, -1.0]]))
         hermitian_eig(0.3 * rho0 - 0.7 * rho1)
-        hermitian_eig(np.array([[1e300, 3e299], [3e299, -2e300]], dtype=complex))
-        assert len(calls) == 3
-        for h in (np.array([[1.0, 0.5j], [-0.5j, -1.0]]), np.array([[1e300, 3e299j], [-3e299j, -2e300]])):
+        assert len(calls) == 2
+        for h in (
+            np.array([[1.0, 0.5j], [-0.5j, -1.0]]),
+            np.array([[1e300, 3e299j], [-3e299j, -2e300]]),
+            np.array([[1e300, 3e299], [3e299, -2e300]], dtype=complex),
+        ):
             assert hermitian_eig(h)[0].tobytes() == np.linalg.eigvalsh(h)[::-1].tobytes()
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    def test_entries_just_below_2_to_the_500_stay_in_the_float_kernel(self, monkeypatch):
+        # The suite turns RuntimeWarning into an error, so an overflow of the
+        # kernel's norms at the largest dimension fails here.
+        calls = self.kernel_calls(monkeypatch)
+        h = np.full((32, 32), np.nextafter(2.0**500, 0.0))
+        reference = np.linalg.eigvalsh(h)[::-1]
+        values = hermitian_eig(h)[0]
+        assert len(calls) == 1
+        assert np.max(np.abs(values - reference)) <= 1e-14 * np.max(np.abs(reference))
+        hermitian_eig(np.full((2, 2), 2.0**500))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("solver", [hermitian_eig, quantum_core.trace_norm])
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.zeros((0, 0)), "must not be empty"),
+            (np.zeros((2, 3)), "must be square"),
+            (np.zeros(4), "must be square"),
+        ],
+        ids=["empty", "non-square", "vector"],
+    )
+    def test_rejects_empty_and_non_square_matrices(self, solver, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            solver(matrix)
 
     @pytest.mark.parametrize("dim", [2, 8, 16, 32])
     def test_matches_numpy_spectrum(self, dim):
